@@ -16,16 +16,14 @@ point.
   :class:`FairShareScheduler`: weighted fair share, strict priorities
   with aging (starvation-freedom), concurrency quotas, and capture
   ceilings — every decision a pure, replayable function of the journal;
-* :mod:`~repro.service.workers` — :class:`WorkerFleet`: claim-driven
-  threads running shards through the engine's stall-watchdog machinery,
-  heartbeating into the store so stale claims can be reaped and adopted;
+* :mod:`~repro.service.workers` — :class:`WorkerFleet`: N worker-host
+  loops on threads over the store, plus the one stale-claim reaper;
 * :mod:`~repro.service.api` — :class:`FaseService`, the stdlib-only
   ``ThreadingHTTPServer`` JSON API, including the worker-host
   claim/report endpoints and the live ``/events`` tail;
-* :mod:`~repro.service.host` — :class:`WorkerHost`, a standalone
-  worker process that claims shards over HTTP, runs them through the
-  same stall-watchdog machinery, and reports results as JSON — the
-  service stays the single store writer;
+* :mod:`~repro.service.host` — :class:`WorkerHost`, the one
+  claim → run → report loop; standalone, it claims shards over HTTP and
+  reports results as JSON — the service stays the single store writer;
 * :mod:`~repro.service.client` — :class:`ServiceClient`, the typed
   Python client (including :meth:`~ServiceClient.stream_events`, a
   resumable live-tail generator).

@@ -73,7 +73,7 @@ from ..survey.report import SHARD_ERROR
 from ..survey.shards import shard_spec_to_dict
 from .queue import CANCELLED, COMPLETED, JobStore
 from .scheduler import FairShareScheduler
-from .workers import WorkerFleet
+from .workers import WorkerFleet, start_reaper
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(FaseConfig)}
 
@@ -103,8 +103,9 @@ class FaseService:
     are admitted with default policy. ``workers`` sizes the in-process
     fleet — ``workers=0`` runs a *hub-only* service with no local
     workers at all, for deployments where every shard runs on remote
-    :class:`~repro.service.host.WorkerHost` processes (the service then
-    reaps stale host claims itself when ``reap_after_s`` is set).
+    :class:`~repro.service.host.WorkerHost` processes. ``reap_after_s``
+    arms the one stale-claim reaper, run by the fleet or, hub-only, by
+    the service itself.
     ``shard_timeout_s`` arms the fleet's stall watchdog, ``shard_fn``
     swaps the shard body in tests. Use as a context manager or call
     :meth:`start`/:meth:`stop`.
@@ -159,12 +160,9 @@ class FaseService:
         if self.fleet is not None:
             self.fleet.start()
         elif self.reap_after_s is not None:
-            # Hub-only service: no fleet thread ever reaps, so the
-            # service sweeps stale remote-host claims itself.
-            self._reaper_thread = threading.Thread(
-                target=self._reap_loop, name="fase-reaper", daemon=True
-            )
-            self._reaper_thread.start()
+            # Hub-only service: no fleet runs the reaper, so the service
+            # runs it itself over the remote hosts' claims.
+            self._reaper_thread = start_reaper(self.store, self.reap_after_s, self._stopping)
         handler = _make_handler(self)
         self._httpd = ThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
@@ -188,11 +186,6 @@ class FaseService:
             self._reaper_thread = None
         if self.fleet is not None:
             self.fleet.stop()
-
-    def _reap_loop(self):
-        interval = self.reap_after_s / 2.0
-        while not self._stopping.wait(interval):
-            self.store.reap_stale_claims(self.reap_after_s)
 
     def __enter__(self):
         return self

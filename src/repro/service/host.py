@@ -1,31 +1,30 @@
-"""Standalone worker hosts: remote processes draining service shards.
+"""Worker hosts: the one claim → run → report loop of the service.
 
-A :class:`WorkerHost` is the out-of-process counterpart of one
-:class:`~repro.service.workers.WorkerFleet` thread. It connects to a
-running :class:`~repro.service.api.FaseService` over plain HTTP and
-loops claim → run → report:
+A :class:`WorkerHost` drains shards from a
+:class:`~repro.service.api.FaseService`'s job store:
 
-* **claim** — ``POST /claims`` hands back one funded
-  :class:`~repro.survey.shards.ShardSpec` in wire (JSON) form; the
-  host revives it and fills in its own local plumbing (a stall-watchdog
-  heartbeat file under its scratch dir — job-namespaced, the same
-  discipline as the in-process fleet);
-* **run** — the shard executes through the *same* machinery as
-  everywhere else: :func:`~repro.survey.shards.run_shard` inline, or in
-  a killable single-worker ``fork`` pool under the engine's
-  heartbeat-extended stall watchdog when ``shard_timeout_s`` is armed;
-* **report** — the result rides back as JSON
-  (``POST /jobs/{id}/shards/{shard}/result``), failures carry the
-  engine's ledger vocabulary (``shard-error`` / ``shard-stalled`` /
-  ``worker-death``), and a background thread PUTs heartbeats so the
-  service can reap the claims of a host that dies mid-shard.
+* **claim** — one funded :class:`~repro.survey.shards.ShardSpec`; the
+  host fills in its own local plumbing (a stall-watchdog heartbeat file
+  under its scratch dir, namespaced by job and shard id);
+* **run** — :func:`~repro.survey.engine.execute_shard`, the executor
+  every survey route uses: the shard runs inline, or in a killable
+  single-worker ``fork`` pool under the heartbeat-extended stall
+  watchdog when ``shard_timeout_s`` is armed;
+* **report** — the result, or a failure in the ledger vocabulary
+  (``shard-error`` / ``shard-stalled`` / ``worker-death``); a background
+  thread heartbeats so the store can reap the claims of a host that
+  dies mid-shard, and never those of a live one.
 
-The service process stays the **single store writer**: a host never
-touches the journal, so every crash-safety invariant the store proves
-in-process carries over unchanged to a fleet of remote hosts. Shard
-purity does the rest — a host SIGKILLed mid-shard loses nothing, its
-claim is reaped, another host adopts the shard, and the re-run is
-byte-identical.
+The loop runs over two transports. Out of process it speaks plain HTTP
+through :class:`~repro.service.client.ServiceClient` (``fase worker
+--connect URL``); the service stays the **single store writer**, so
+every crash-safety invariant the store proves in-process carries over
+to a fleet of remote hosts. In process,
+:class:`~repro.service.workers.WorkerFleet` runs N of these loops on
+threads over a thin store adapter. Shard purity does the rest — a host
+SIGKILLed mid-shard loses nothing, its claim is reaped, another host
+adopts the shard, and the re-run is byte-identical; a report from a
+host that no longer holds the claim is ignored.
 
 Entry points: ``fase worker --connect URL`` on the command line, or
 :func:`run_worker_host` / :class:`WorkerHost` in code.
@@ -33,22 +32,18 @@ Entry points: ``fase worker --connect URL`` on the command line, or
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import shutil
 import socket
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
 from ..errors import ServiceError
 from ..runner import journal_dirname
-from ..survey.engine import _await_or_kill, _ShardStalled, _stall_detail
-from ..survey.report import SHARD_ERROR, SHARD_STALLED, WORKER_DEATH
+from ..survey.engine import execute_shard
 from ..survey.shards import run_shard
 from .client import ServiceClient
 
@@ -58,10 +53,26 @@ def default_host_name():
     return f"host-{socket.gethostname()}-{os.getpid()}"
 
 
-class WorkerHost:
-    """One worker-host process draining shards from a remote service.
+def shard_heartbeat_path(workdir, claimed):
+    """The stall-watchdog heartbeat file for one claim under ``workdir``.
 
-    ``shard_fn`` swaps the shard body in tests (module-level,
+    Namespaced by **job id and shard id**: two jobs covering the same
+    (machine, pair, band) plan identical shard ids, and a shared
+    per-shard-id file would let one job's beats extend the other job's
+    hung shard past its stall deadline forever.
+    """
+    name = journal_dirname(f"{claimed.job_id}:{claimed.spec.shard_id}")
+    return Path(workdir) / f"{name}.shard.hb"
+
+
+class WorkerHost:
+    """One worker loop draining shards from a service's job store.
+
+    ``base_url`` is the service's URL; an object with the
+    :class:`~repro.service.client.ServiceClient`'s ``claim`` /
+    ``heartbeat`` / ``report_result`` / ``report_failure`` methods is
+    used as the client directly (the in-process fleet passes a store
+    adapter). ``shard_fn`` swaps the shard body in tests (module-level,
     picklable). ``shard_timeout_s`` arms the stall watchdog (shards
     then run in killable single-worker pools). ``idle_exit_s`` makes
     the host exit after that long with no claimable work — the natural
@@ -85,7 +96,11 @@ class WorkerHost:
         max_consecutive_errors=30,
         verbose=False,
     ):
-        self.client = ServiceClient(base_url, timeout_s=timeout_s)
+        self.client = (
+            ServiceClient(base_url, timeout_s=timeout_s)
+            if isinstance(base_url, str)
+            else base_url
+        )
         self.name = name or default_host_name()
         self.workdir = None if workdir is None else Path(workdir)
         self.shard_fn = shard_fn or run_shard
@@ -112,9 +127,9 @@ class WorkerHost:
         Transient service errors (a restarting hub, a network blip) are
         retried with the poll cadence; ``max_consecutive_errors`` in a
         row raise — a host that can never reach its service should die
-        loudly, not spin forever.
+        loudly, not spin forever. A :meth:`stop` that lands before the
+        loop starts still stops it.
         """
-        self._stop.clear()
         own_workdir = self.workdir is None
         if own_workdir:
             self.workdir = Path(tempfile.mkdtemp(prefix="fase-host-"))
@@ -158,6 +173,7 @@ class WorkerHost:
         finally:
             self._stop.set()
             beats.join(timeout=5.0)
+            self._stop.clear()
             if own_workdir:
                 shutil.rmtree(self.workdir, ignore_errors=True)
                 self.workdir = None
@@ -176,78 +192,44 @@ class WorkerHost:
         """Fill in this host's local plumbing on a wire-revived spec."""
         if self.shard_timeout_s is None:
             return claimed.spec
-        name = journal_dirname(f"{claimed.job_id}:{claimed.spec.shard_id}")
         return replace(
-            claimed.spec, heartbeat_path=str(self.workdir / f"{name}.shard.hb")
+            claimed.spec,
+            heartbeat_path=str(shard_heartbeat_path(self.workdir, claimed)),
         )
 
     def _run_claim(self, claimed):
-        spec = self._localize(claimed)
+        job_id, shard_id = claimed.job_id, claimed.spec.shard_id
         started = time.monotonic()
-        try:
-            if self.shard_timeout_s is None:
-                result = self.shard_fn(spec)
-            else:
-                result = self._run_watched(spec)
-        except _ShardStalled:
-            self._report_failure(
-                claimed, SHARD_STALLED, _stall_detail(self.shard_timeout_s)
+        result, failure = execute_shard(
+            self.shard_fn, self._localize(claimed), shard_timeout_s=self.shard_timeout_s
+        )
+        if failure is None:
+            elapsed_s = time.monotonic() - started
+            sent = self._report(
+                self.client.report_result, job_id, shard_id, result, self.name, elapsed_s=elapsed_s
             )
-        except BrokenProcessPool:
-            self._report_failure(
-                claimed, WORKER_DEATH, "worker process died running this shard"
-            )
-        except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
-            self._report_failure(claimed, SHARD_ERROR, str(exc))
+            if sent:
+                self.completed += 1
+                self._say(f"{job_id} {shard_id}: completed in {elapsed_s:.2f}s")
         else:
-            self._report_result(claimed, result, time.monotonic() - started)
-
-    def _run_watched(self, spec):
-        """One shard in a killable single-worker pool under the watchdog."""
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            future = pool.submit(self.shard_fn, spec)
-            return _await_or_kill(future, spec, pool, self.shard_timeout_s)
+            kind, detail = failure
+            if self._report(self.client.report_failure, job_id, shard_id, kind, detail, self.name):
+                self.failed += 1
+                self._say(f"{job_id} {shard_id}: {kind} ({detail})")
 
     # -- reporting ----------------------------------------------------
 
-    def _report_result(self, claimed, result, elapsed_s):
-        ok = self._report(
-            lambda: self.client.report_result(
-                claimed.job_id,
-                claimed.spec.shard_id,
-                result,
-                self.name,
-                elapsed_s=elapsed_s,
-            )
-        )
-        if ok:
-            self.completed += 1
-            self._say(
-                f"{claimed.job_id} {claimed.spec.shard_id}: completed "
-                f"in {elapsed_s:.2f}s"
-            )
-
-    def _report_failure(self, claimed, kind, detail):
-        ok = self._report(
-            lambda: self.client.report_failure(
-                claimed.job_id, claimed.spec.shard_id, kind, detail, self.name
-            )
-        )
-        if ok:
-            self.failed += 1
-            self._say(f"{claimed.job_id} {claimed.spec.shard_id}: {kind} ({detail})")
-
-    def _report(self, send, attempts=3):
-        """Deliver one report, with retries; ``False`` when undeliverable.
+    def _report(self, send, *args, **kwargs):
+        """``send(*args, **kwargs)``, with retries; ``False`` when undeliverable.
 
         A report the service never hears is not data loss: the claim
         goes silent, the reaper releases it, and the re-run is
         byte-identical (shard purity). The host just moves on.
         """
+        attempts = 3
         for attempt in range(attempts):
             try:
-                send()
+                send(*args, **kwargs)
                 return True
             except ServiceError as exc:
                 status = getattr(exc, "status", None)

@@ -301,29 +301,31 @@ class JobStore:
             if job is None:
                 return
             shard_id = record["shard_id"]
-            job.claims.pop(shard_id, None)
             worker = record.get("worker")
+            completed = record.get("status") == "completed"
+            # The live ownership rule: a report never drops a peer's
+            # claim, and a failure reported over one is void.
+            holder = job.claims.get(shard_id)
+            if holder == worker:
+                del job.claims[shard_id]
+            elif holder is not None and not completed:
+                return
             if worker:
-                key = "completed" if record.get("status") == "completed" else "failed"
-                self._count_worker(worker, key)
-                if key == "completed":
+                self._count_worker(worker, "completed" if completed else "failed")
+                if completed:
                     job.worker_shards[worker] = job.worker_shards.get(worker, 0) + 1
-            if record.get("status") == "completed":
-                # The result itself came back from the job's manifest in
-                # _admit; a progress record whose result was torn away
-                # leaves the shard pending, and it safely re-runs.
-                if shard_id not in job.results and not job.settled(shard_id):
-                    if shard_id not in job.pending:
-                        job.pending.append(shard_id)
-            else:
-                # The failure count is NOT re-charged here: fail_shard
-                # made it durable in the manifest ledger (record_failure
-                # carries the cumulative count) *before* this progress
-                # record, and _admit already restored that final count.
-                # Replaying only repairs membership — the claim is gone,
-                # and the shard re-pends unless the ledger settled it.
-                if not job.settled(shard_id) and shard_id not in job.pending:
-                    job.pending.append(shard_id)
+            # Replay only repairs membership. A completed shard's result
+            # came back from the job's manifest in _admit (one torn away
+            # safely re-runs); a failure's count is NOT re-charged, since
+            # fail_shard made the cumulative count durable in the
+            # manifest ledger *before* this record and _admit restored it.
+            # The shard re-pends unless settled or held by a peer.
+            if (
+                not job.settled(shard_id)
+                and shard_id not in job.claims
+                and shard_id not in job.pending
+            ):
+                job.pending.append(shard_id)
         elif kind == "release":
             job = self.jobs.get(record["job_id"])
             if job is None:
@@ -605,6 +607,11 @@ class JobStore:
         replay re-marks the shard completed from the manifest.
         ``elapsed_s`` (a worker-host's self-reported shard wall-clock)
         rides only the advisory event stream, never the journal.
+
+        The first result from any worker is kept — shard purity makes
+        every run's result identical — but only the claim's owner gives
+        the claim back: a worker whose claim was reaped and adopted must
+        not drop the adopting peer's live claim with a late report.
         """
         with self._lock:
             job = self._job(job_id)
@@ -617,8 +624,11 @@ class JobStore:
                 "status": "completed",
                 "worker": worker,
             })
-            job.claims.pop(shard_id, None)
-            job.results[shard_id] = result
+            if job.claims.get(shard_id) == worker:
+                del job.claims[shard_id]
+            if shard_id in job.pending:
+                job.pending.remove(shard_id)
+            job.results.setdefault(shard_id, result)
             job.worker_shards[worker] = job.worker_shards.get(worker, 0) + 1
             self._count_worker(worker, "completed")
             attrs = {"shard": shard_id, "worker": worker}
@@ -628,9 +638,16 @@ class JobStore:
             self._maybe_finalize_locked(job)
 
     def fail_shard(self, job_id, shard_id, kind, detail, worker):
-        """A worker's shard failed: charge, requeue-or-abandon, journal."""
+        """A worker's shard failed: charge, requeue-or-abandon, journal.
+
+        Like :meth:`release_shard`, a report from a worker that no
+        longer holds the claim (it was reaped, and maybe adopted) does
+        nothing: no ledger charge, no journal record.
+        """
         with self._lock:
             job = self._job(job_id)
+            if job.claims.get(shard_id) != worker:
+                return
             n = job.failures.get(shard_id, 0) + 1
             job.ledger.record_failure(shard_id, kind, detail, failures=n)
             if n <= job.spec.max_shard_retries:
@@ -648,7 +665,7 @@ class JobStore:
                 "detail": detail,
                 "worker": worker,
             })
-            job.claims.pop(shard_id, None)
+            del job.claims[shard_id]
             job.failures[shard_id] = n
             self._count_worker(worker, "failed")
             if n > job.spec.max_shard_retries:

@@ -1,41 +1,79 @@
-"""The worker fleet: threads draining shard claims through `run_shard`.
+"""The worker fleet: N worker-host loops on threads over one job store.
 
-Each worker loops claim → run → report. The *shard* is the unit of
-work — the same pure ``(seed, shard_id)`` function the survey engine
-fans out — so the fleet inherits every safety property the survey tiers
-already prove: re-running a shard after a crash, a reaped claim, or a
-duplicated adoption is always byte-identical.
+The fleet has no claim loop of its own: each thread runs a
+:class:`~repro.service.host.WorkerHost` loop — the claim → run → report
+step a remote ``fase worker`` runs — against the
+:class:`~repro.service.queue.JobStore` through a thin in-process adapter
+instead of HTTP. Shards are pure ``(seed, shard_id)`` functions run by
+the survey engine's :func:`~repro.survey.engine.execute_shard`, so a
+re-run after a crash, a reap or a duplicated adoption is byte-identical.
 
-Failure handling mirrors :mod:`repro.survey.engine`:
-
-* without a ``shard_timeout_s`` the shard runs inline on the worker
-  thread; exceptions are charged ``shard-error`` against the job's
-  retry budget;
-* with one, the shard runs in a fresh single-worker ``fork`` pool
-  bounded by the engine's own heartbeat-extended stall watchdog
-  (:func:`~repro.survey.engine._await_or_kill`): a hung worker process
-  is killed and charged ``shard-stalled``, a dead one ``worker-death``
-  — the same ledger vocabulary as a standalone survey.
-
-Workers heartbeat into the store every loop, so
-:meth:`~repro.service.queue.JobStore.reap_stale_claims` can release
-the claims of a wedged worker for adoption by its peers.
+Each host's beat thread keeps its claims alive at an interval well
+under ``reap_after_s``, so a worker busy with a long shard is never
+reaped. One reaper (:func:`start_reaper`, shared with the hub-only
+:class:`~repro.service.api.FaseService`) releases the claims of workers
+that stopped beating, for adoption by their peers.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import replace
 
 from ..errors import ServiceError
-from ..runner import journal_dirname
-from ..survey.engine import _await_or_kill, _ShardStalled, _stall_detail
-from ..survey.report import SHARD_ERROR, SHARD_STALLED, WORKER_DEATH
 from ..survey.shards import run_shard
+from .host import WorkerHost, shard_heartbeat_path
+
+
+def start_reaper(store, reap_after_s, stop):
+    """The one stale-claim reaper: a daemon thread sweeping the store.
+
+    Every ``reap_after_s / 2`` seconds until ``stop`` (an Event) is set,
+    claims whose worker has not beaten within ``reap_after_s`` go back
+    to pending. One sweep per interval however many workers there are:
+    reaping takes the store lock, so it must not scale with poll rate.
+    """
+
+    def sweep():
+        while not stop.wait(reap_after_s / 2.0):
+            store.reap_stale_claims(reap_after_s)
+
+    thread = threading.Thread(target=sweep, name="fase-reaper", daemon=True)
+    thread.start()
+    return thread
+
+
+class _StoreClient:
+    """The worker side of the service API, in process: calls go to the store."""
+
+    def __init__(self, store):
+        self.store = store
+
+    def claim(self, worker):
+        return self.store.claim(worker)
+
+    def heartbeat(self, worker):
+        self.store.worker_heartbeat(worker)
+
+    def report_result(self, job_id, shard_id, result, worker, elapsed_s=None):
+        self.store.complete_shard(job_id, shard_id, result, worker, elapsed_s=elapsed_s)
+
+    def report_failure(self, job_id, shard_id, kind, detail, worker):
+        self.store.fail_shard(job_id, shard_id, kind, detail, worker)
+
+
+class _FleetHost(WorkerHost):
+    """One fleet thread's loop; it runs the fleet's current ``shard_fn``."""
+
+    def __init__(self, fleet, name, **kwargs):
+        super().__init__(_StoreClient(fleet.store), name=name, **kwargs)
+        self.fleet = fleet
+
+    def _run_claim(self, claimed):
+        # Read per claim, so a shard_fn rebound on a running fleet (a
+        # tracer's wrapper, say) takes effect from the next shard on.
+        self.shard_fn = self.fleet.shard_fn
+        super()._run_claim(claimed)
 
 
 class WorkerFleet:
@@ -44,8 +82,8 @@ class WorkerFleet:
     ``shard_fn`` replaces :func:`~repro.survey.shards.run_shard` in
     tests (module-level, picklable). ``reap_after_s`` arms the stale-
     claim reaper: the fleet releases claims whose owner has not
-    heartbeated within that window, sweeping at most once per
-    ``reap_after_s / 2`` across all workers.
+    heartbeated within that window, sweeping once per
+    ``reap_after_s / 2``; its workers beat every ``reap_after_s / 4``.
     """
 
     def __init__(
@@ -67,14 +105,9 @@ class WorkerFleet:
         self.poll_interval_s = poll_interval_s
         self.reap_after_s = reap_after_s
         self.name_prefix = name_prefix
+        self._hosts = []
         self._threads = []
         self._stop = threading.Event()
-        # Stale-claim reaping is fleet-wide work, not per-worker work:
-        # one reap per reap_after_s/2 window, whichever worker gets
-        # there first, instead of every worker taking the store lock on
-        # every poll iteration (O(workers x poll rate) contention).
-        self._reap_lock = threading.Lock()
-        self._next_reap_at = 0.0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -82,18 +115,32 @@ class WorkerFleet:
         if self._threads:
             raise ServiceError("the fleet is already running")
         self._stop.clear()
+        beat_s = 1.0 if self.reap_after_s is None else self.reap_after_s / 4.0
         for index in range(self.n_workers):
-            name = f"{self.name_prefix}-{index}"
-            thread = threading.Thread(target=self._run, args=(name,), name=name, daemon=True)
+            host = _FleetHost(
+                self,
+                f"{self.name_prefix}-{index}",
+                workdir=self.store.root / "workers",
+                shard_timeout_s=self.shard_timeout_s,
+                poll_interval_s=self.poll_interval_s,
+                heartbeat_interval_s=beat_s,
+            )
+            thread = threading.Thread(target=host.run, name=host.name, daemon=True)
             thread.start()
+            self._hosts.append(host)
             self._threads.append(thread)
+        if self.reap_after_s is not None:
+            self._threads.append(start_reaper(self.store, self.reap_after_s, self._stop))
         return self
 
     def stop(self, timeout_s=30.0):
         """Cooperative shutdown: workers finish their in-flight shard."""
         self._stop.set()
+        for host in self._hosts:
+            host.stop()
         for thread in self._threads:
             thread.join(timeout=timeout_s)
+        self._hosts = []
         self._threads = []
 
     def drain(self, timeout_s=60.0):
@@ -113,73 +160,6 @@ class WorkerFleet:
                 return self.store.all_settled()
             time.sleep(self.poll_interval_s)
 
-    # -- the worker loop ----------------------------------------------
-
-    def _maybe_reap(self):
-        """At most one fleet-wide reap per ``reap_after_s / 2`` window."""
-        if self.reap_after_s is None:
-            return
-        now = time.monotonic()
-        with self._reap_lock:
-            if now < self._next_reap_at:
-                return
-            self._next_reap_at = now + self.reap_after_s / 2.0
-        self.store.reap_stale_claims(self.reap_after_s)
-
-    def _run(self, name):
-        while not self._stop.is_set():
-            self.store.worker_heartbeat(name)
-            self._maybe_reap()
-            claimed = self.store.claim(name)
-            if claimed is None:
-                self._stop.wait(self.poll_interval_s)
-                continue
-            self._run_claim(name, claimed)
-
     def shard_heartbeat_path(self, claimed):
-        """The stall-watchdog heartbeat file for one claim.
-
-        Namespaced by **job id and shard id**: two jobs covering the
-        same (machine, pair, band) plan identical shard ids, and a
-        shared per-shard-id file would let one job's beats extend the
-        other job's hung shard past its stall deadline forever.
-        """
-        name = journal_dirname(f"{claimed.job_id}:{claimed.spec.shard_id}")
-        return self.store.root / "workers" / f"{name}.shard.hb"
-
-    def _run_claim(self, name, claimed):
-        spec = claimed.spec
-        if self.shard_timeout_s is not None:
-            spec = replace(spec, heartbeat_path=str(self.shard_heartbeat_path(claimed)))
-        try:
-            if self.shard_timeout_s is None:
-                result = self.shard_fn(spec)
-            else:
-                result = self._run_watched(spec)
-        except _ShardStalled:
-            self.store.fail_shard(
-                claimed.job_id,
-                spec.shard_id,
-                SHARD_STALLED,
-                _stall_detail(self.shard_timeout_s),
-                name,
-            )
-        except BrokenProcessPool:
-            self.store.fail_shard(
-                claimed.job_id,
-                spec.shard_id,
-                WORKER_DEATH,
-                "worker process died running this shard",
-                name,
-            )
-        except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
-            self.store.fail_shard(claimed.job_id, spec.shard_id, SHARD_ERROR, str(exc), name)
-        else:
-            self.store.complete_shard(claimed.job_id, spec.shard_id, result, name)
-
-    def _run_watched(self, spec):
-        """One shard in a killable single-worker pool under the watchdog."""
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            future = pool.submit(self.shard_fn, spec)
-            return _await_or_kill(future, spec, pool, self.shard_timeout_s)
+        """The stall-watchdog heartbeat file the fleet uses for one claim."""
+        return shard_heartbeat_path(self.store.root / "workers", claimed)

@@ -36,6 +36,12 @@ The engine therefore runs in rounds:
    systematically hostile environment terminates instead of cycling
    break/requeue forever.
 
+One drain picks the route for exhaustive and adaptive surveys alike:
+inline at ``workers=1``, isolated single-worker pools when the stall
+watchdog is armed there, the shared pool above. Outside the shared pool
+every shard runs through one executor, :func:`execute_shard`, which the
+service's worker loops call too.
+
 A shard result is a pure function of ``(seed, shard_id)`` (see
 :mod:`~repro.survey.shards`), so ``workers=1`` — which runs shards
 inline, no pool — produces detections identical to any process-parallel
@@ -283,6 +289,13 @@ class _ShardQueue:
         self.pending = list(specs)
         self.suspects = []
         self.failures = {spec.shard_id: 0 for spec in specs}
+        # A resumed survey's charged failures carry over: a shard that
+        # burned retries before the crash gets no fresh budget.
+        for failure in ledger.failures:
+            if failure.charged and failure.shard_id in self.failures:
+                self.failures[failure.shard_id] = max(
+                    self.failures[failure.shard_id], failure.failures
+                )
         self.max_shard_retries = max_shard_retries
         self.pool_breaks = 0
         self.ledger = ledger
@@ -435,7 +448,9 @@ def _stall_detail(shard_timeout_s):
 
 
 def _await_or_kill(future, spec, pool, shard_timeout_s):
-    """``future.result()`` bounded by the heartbeat-extended deadline."""
+    """``future.result()`` bounded by the heartbeat-extended deadline, if any."""
+    if shard_timeout_s is None:
+        return future.result()
     started = time.time()
     while True:
         remaining = _shard_deadline(spec, started, shard_timeout_s) - time.time()
@@ -450,76 +465,91 @@ def _await_or_kill(future, spec, pool, shard_timeout_s):
             continue
 
 
-def _restore_failure_counts(queue, ledger):
-    """Carry a resumed survey's charged failure counts into the queue.
-
-    A shard that burned retries before the crash must not get a fresh
-    ``max_shard_retries`` budget on resume; the replayed ledger already
-    knows how many charged failures each shard accumulated.
-    """
-    for failure in ledger.failures:
-        if failure.charged and failure.shard_id in queue.failures:
-            queue.failures[failure.shard_id] = max(
-                queue.failures[failure.shard_id], failure.failures
-            )
-
-
 def _is_cancelled(cancel_event):
     return cancel_event is not None and cancel_event.is_set()
 
 
-def _run_serial(queue, shard_fn, results, telemetry, cancel_event=None):
-    while queue.pending:
+def execute_shard(shard_fn, spec, isolated=False, shard_timeout_s=None):
+    """Run one shard; returns ``(result, None)`` or ``(None, (kind, detail))``.
+
+    Inline by default; ``isolated=True`` runs it alone in a fresh
+    single-worker ``fork`` pool, so a worker death is attributable. A
+    ``shard_timeout_s`` implies isolation (an inline call cannot be
+    killed) and arms the stall watchdog. ``kind`` is the ledger's
+    ``shard-error``, ``shard-stalled`` or ``worker-death``.
+    """
+    try:
+        if not isolated and shard_timeout_s is None:
+            return shard_fn(spec), None
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            future = pool.submit(shard_fn, spec)
+            return _await_or_kill(future, spec, pool, shard_timeout_s), None
+    except _ShardStalled as exc:
+        return None, (SHARD_STALLED, str(exc))
+    except BrokenProcessPool:
+        return None, (WORKER_DEATH, "worker process died running this shard")
+    except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
+        return None, (SHARD_ERROR, str(exc))
+
+
+def _run_alone(
+    queue, shard_fn, results, telemetry, isolated, shard_timeout_s=None, cancel_event=None
+):
+    """Drain ``pending`` inline, or the ``suspects`` one pool per shard.
+
+    An isolated death is attributable, so — unlike shared-pool
+    collateral — the shard is charged and requeued back into isolation
+    until its retry budget runs out.
+    """
+    line = queue.suspects if isolated else queue.pending
+    while line:
         if _is_cancelled(cancel_event):
             queue.cancel_remaining()
             return
-        spec = queue.pending.pop(0)
-        try:
-            result = shard_fn(spec)
-        except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
-            queue.charge(spec, SHARD_ERROR, str(exc))
-        else:
+        spec = line.pop(0)
+        result, failure = execute_shard(
+            shard_fn, spec, isolated=isolated, shard_timeout_s=shard_timeout_s
+        )
+        if failure is None:
             results[spec.shard_id] = result
             telemetry.event("shard-finished", shard=spec.shard_id)
-
-
-def _run_isolated(
-    queue, shard_fn, results, telemetry, context, shard_timeout_s=None, cancel_event=None
-):
-    """Drain the suspect queue: one fresh single-worker pool per shard.
-
-    A death here is attributable, so the shard is charged
-    ``worker-death`` and — unlike shared-pool collateral — requeued back
-    into isolation until its retry budget runs out. With a
-    ``shard_timeout_s`` the wait is bounded by the heartbeat-extended
-    deadline; a hung worker is killed and the shard charged
-    ``shard-stalled`` against the same budget.
-    """
-    while queue.suspects:
-        if _is_cancelled(cancel_event):
-            queue.cancel_remaining()
-            return
-        spec = queue.suspects.pop(0)
-        try:
-            with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-                future = pool.submit(shard_fn, spec)
-                if shard_timeout_s is None:
-                    result = future.result()
-                else:
-                    result = _await_or_kill(future, spec, pool, shard_timeout_s)
-        except _ShardStalled as exc:
-            queue.charge(spec, SHARD_STALLED, str(exc), isolate=True)
+            continue
+        kind, detail = failure
+        queue.charge(spec, kind, detail, isolate=isolated)
+        if kind == SHARD_STALLED:
             telemetry.count("shards_stalled")
             telemetry.event("shard-stalled", shard=spec.shard_id, isolated=True)
-        except BrokenProcessPool:
-            queue.charge(
-                spec, WORKER_DEATH, "worker process died running this shard", isolate=True
-            )
-        except Exception as exc:  # noqa: BLE001 - ledgered
-            queue.charge(spec, SHARD_ERROR, str(exc), isolate=True)
-        else:
-            results[spec.shard_id] = result
-            telemetry.event("shard-finished", shard=spec.shard_id)
+
+
+def _drain(
+    specs,
+    shard_fn,
+    results,
+    ledger,
+    telemetry,
+    workers,
+    max_shard_retries,
+    max_pool_breaks,
+    shard_timeout_s=None,
+    cancel_event=None,
+):
+    """Run every spec to a result or a ledgered failure, on the right route.
+
+    ``workers > 1`` fans out on the shared pool; ``workers == 1`` runs
+    inline, or isolated when the watchdog is armed (an inline call
+    cannot be killed).
+    """
+    queue = _ShardQueue(specs, max_shard_retries, ledger, telemetry)
+    if workers > 1:
+        return _run_parallel(
+            queue, shard_fn, results, telemetry, workers, max_pool_breaks,
+            shard_timeout_s=shard_timeout_s, cancel_event=cancel_event,
+        )
+    isolated = shard_timeout_s is not None
+    if isolated:
+        queue.suspects, queue.pending = queue.pending, []
+    _run_alone(queue, shard_fn, results, telemetry, isolated, shard_timeout_s, cancel_event)
 
 
 def _run_parallel(
@@ -541,12 +571,12 @@ def _run_parallel(
             return
         # Suspects first: the shards in flight at the last break re-run
         # alone so guilt is attributable before the shared pool resumes.
-        _run_isolated(
+        _run_alone(
             queue,
             shard_fn,
             results,
             telemetry,
-            context,
+            isolated=True,
             shard_timeout_s=shard_timeout_s,
             cancel_event=cancel_event,
         )
@@ -1013,35 +1043,15 @@ def run_survey(
                         restored_outcomes=restored_outcomes,
                         shard_timeout_s=shard_timeout_s,
                     )
-                elif workers == 1 and shard_timeout_s is None:
-                    queue = _ShardQueue(pending, max_shard_retries, ledger, tel)
-                    _restore_failure_counts(queue, ledger)
-                    _run_serial(queue, shard_fn, results, tel, cancel_event=cancel_event)
-                elif workers == 1:
-                    # An inline call cannot be killed, so the watchdog
-                    # routes every shard through the isolated
-                    # single-worker pool path.
-                    queue = _ShardQueue(pending, max_shard_retries, ledger, tel)
-                    _restore_failure_counts(queue, ledger)
-                    queue.suspects, queue.pending = queue.pending, []
-                    _run_isolated(
-                        queue,
-                        shard_fn,
-                        results,
-                        tel,
-                        multiprocessing.get_context("fork"),
-                        shard_timeout_s=shard_timeout_s,
-                        cancel_event=cancel_event,
-                    )
                 else:
-                    queue = _ShardQueue(pending, max_shard_retries, ledger, tel)
-                    _restore_failure_counts(queue, ledger)
-                    _run_parallel(
-                        queue,
+                    _drain(
+                        pending,
                         shard_fn,
                         results,
+                        ledger,
                         tel,
                         workers,
+                        max_shard_retries,
                         max_pool_breaks,
                         shard_timeout_s=shard_timeout_s,
                         cancel_event=cancel_event,

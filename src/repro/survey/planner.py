@@ -572,13 +572,7 @@ def run_planned(
     interruption. ``shard_timeout_s`` arms the engine's stall watchdog
     for each round.
     """
-    from .engine import (
-        _restore_failure_counts,
-        _run_isolated,
-        _run_parallel,
-        _run_serial,
-        _ShardQueue,
-    )
+    from .engine import _drain
 
     restored_promises = restored_promises or {}
     restored_outcomes = restored_outcomes or {}
@@ -675,34 +669,18 @@ def run_planned(
                 break
             pending = held
             round_results = {}
-            queue = _ShardQueue(funded, max_shard_retries, ledger, telemetry)
-            _restore_failure_counts(queue, ledger)
-            shard_fn = partial(run_shard_adaptive, planner=planner)
             with telemetry.span("plan-round", n_funded=len(funded)):
-                if workers == 1 and shard_timeout_s is None:
-                    _run_serial(queue, shard_fn, round_results, telemetry)
-                elif workers == 1:
-                    import multiprocessing
-
-                    queue.suspects, queue.pending = queue.pending, []
-                    _run_isolated(
-                        queue,
-                        shard_fn,
-                        round_results,
-                        telemetry,
-                        multiprocessing.get_context("fork"),
-                        shard_timeout_s=shard_timeout_s,
-                    )
-                else:
-                    _run_parallel(
-                        queue,
-                        shard_fn,
-                        round_results,
-                        telemetry,
-                        workers,
-                        max_pool_breaks,
-                        shard_timeout_s=shard_timeout_s,
-                    )
+                _drain(
+                    funded,
+                    partial(run_shard_adaptive, planner=planner),
+                    round_results,
+                    ledger,
+                    telemetry,
+                    workers,
+                    max_shard_retries,
+                    max_pool_breaks,
+                    shard_timeout_s=shard_timeout_s,
+                )
             # Refunds are applied only after the round barrier, so the
             # funding sequence is a pure function of (specs, planner).
             for spec in funded:

@@ -42,7 +42,7 @@ from repro.service import (
     TenantPolicy,
     WorkerFleet,
 )
-from repro.survey.chaos import count_attempts, stub_result, well_behaved_shard
+from repro.survey.chaos import count_attempts, log_attempt, stub_result, well_behaved_shard
 from repro.survey.report import BUDGET_EXHAUSTED
 
 pytestmark = pytest.mark.service
@@ -426,6 +426,83 @@ class TestJobStore:
             _open_store(root)
 
 
+def _reap_everything(store):
+    """Release every live claim, as if each worker had gone silent."""
+    return store.reap_stale_claims(max_age_s=3600.0, now=time.monotonic() + 7200.0)
+
+
+def _replayed(root):
+    """A fresh store rebuilt from the journal alone, before ``open``'s
+    restart releases (which would mask what the replay reconstructed)."""
+    store = JobStore(root, scheduler=FairShareScheduler(()))
+    store._replay()
+    return store
+
+
+class TestReportsFromFormerOwners:
+    """A worker whose claim was reaped may still report: its failure is
+    void, its result counts, and neither touches the adopter's claim."""
+
+    def test_failure_from_a_reaped_worker_is_ignored(self, tmp_path):
+        root = tmp_path / "store"
+        store = _open_store(root)
+        job_id = _submit(store, tmp_path, machines=MACHINES[:1])
+        shard_id = store.claim("w0").spec.shard_id
+        assert _reap_everything(store) == 1
+        adopted = store.claim("w1")
+        assert adopted.spec.shard_id == shard_id
+        journal = store.log_path.read_bytes()
+        store.fail_shard(job_id, shard_id, "error", "late report", "w0")
+        assert store.log_path.read_bytes() == journal  # nothing journaled
+        assert store.job_status(job_id)["shards"][shard_id] == "claimed:w1"
+        store.complete_shard(job_id, shard_id, stub_result(adopted.spec), "w1")
+        store.fail_shard(job_id, shard_id, "error", "later still", "w0")
+        status = store.job_status(job_id)
+        assert status["state"] == COMPLETED
+        assert status["n_failures"] == 0
+        assert store.job_report(job_id).ledger.n_failures == 0
+        assert store.worker_stats()["w0"]["failed"] == 0
+        assert _open_store(root).job_report(job_id).ledger.n_failures == 0
+
+    def test_stale_completion_keeps_the_adopters_claim(self, tmp_path):
+        root = tmp_path / "store"
+        store = _open_store(root)
+        job_id = _submit(store, tmp_path, machines=MACHINES[:1])
+        claimed = store.claim("w0")
+        shard_id = claimed.spec.shard_id
+        _reap_everything(store)
+        store.claim("w1")
+        store.complete_shard(job_id, shard_id, stub_result(claimed.spec), "w0")
+        assert store.jobs[job_id].claims == {shard_id: "w1"}  # the adopter's claim stands
+        status = store.job_status(job_id)
+        assert status["state"] == RUNNING
+        assert status["n_completed"] == 1  # the first result is kept
+        store.complete_shard(job_id, shard_id, stub_result(claimed.spec), "w1")
+        assert store.job_status(job_id)["state"] == COMPLETED
+        assert _open_store(root).job_status(job_id)["state"] == COMPLETED
+
+    def test_replay_voids_a_failure_reported_over_a_peers_claim(self, tmp_path):
+        root = tmp_path / "store"
+        store = _open_store(root)
+        job_id = _submit(store, tmp_path, machines=MACHINES[:1])
+        shard_id = store.claim("w0").spec.shard_id
+        _reap_everything(store)
+        store.claim("w1")
+        # The record a stale failure report used to journal.
+        store._append({
+            "kind": "progress",
+            "job_id": job_id,
+            "shard_id": shard_id,
+            "status": "failed",
+            "failure_kind": "error",
+            "detail": "late report",
+            "worker": "w0",
+        })
+        job = _replayed(root).jobs[job_id]
+        assert job.claims == {shard_id: "w1"}
+        assert shard_id not in job.pending
+
+
 # ----------------------------------------------------------------------
 # Quotas, ceilings, fairness, priority.
 
@@ -536,6 +613,14 @@ def hang_after_one_beat(spec):
     # One beat, then silence: the stall watchdog MUST kill this.
     beat_heartbeat(spec.heartbeat_path)
     time.sleep(30.0)
+    return stub_result(spec)
+
+
+def slow_logged_shard(spec):
+    # Outlives reap_after_s=0.5 three times over: only the worker's
+    # heartbeats, not its claim polls, can keep this claim alive.
+    log_attempt(spec)
+    time.sleep(1.5)
     return stub_result(spec)
 
 
@@ -693,3 +778,45 @@ class TestWorkerFleet:
         # And the report round-trips through the service's wire format.
         revived = type(report).from_json(report.to_json())
         assert revived.to_dict() == report.to_dict()
+
+    def test_live_shard_is_never_reaped(self, tmp_path):
+        # Regression: fleet workers used to beat only between claims, so
+        # the fleet reaped its own busy worker and ran the shard twice.
+        store = _open_store(tmp_path / "store")
+        job_id = _submit(store, tmp_path, machines=MACHINES[:1])
+        fleet = WorkerFleet(
+            store,
+            workers=2,
+            shard_fn=slow_logged_shard,
+            poll_interval_s=0.02,
+            reap_after_s=0.5,
+        )
+        fleet.start()
+        try:
+            assert fleet.drain(timeout_s=30.0)
+        finally:
+            fleet.stop()
+        (shard_id,) = store.job_status(job_id)["shards"]
+        assert count_attempts(tmp_path, shard_id) == 1
+        assert all(stats["released"] == 0 for stats in store.worker_stats().values())
+
+    def test_shard_finished_events_carry_elapsed_time(self, tmp_path):
+        # The fleet runs the worker-host loop, so its events carry the
+        # shard wall-clock a remote host reports.
+        store = _open_store(tmp_path / "store")
+        job_id = _submit(store, tmp_path)
+        fleet = WorkerFleet(store, workers=2, shard_fn=well_behaved_shard)
+        fleet.start()
+        try:
+            assert fleet.drain(timeout_s=30.0)
+        finally:
+            fleet.stop()
+        events = [
+            json.loads(line)
+            for line in store.events_path(job_id).read_text().splitlines()
+        ]
+        finished = [e["attrs"] for e in events if e["name"] == "shard-finished"]
+        assert len(finished) == len(MACHINES)
+        for attrs in finished:
+            assert attrs["worker"].startswith("worker-")
+            assert attrs["elapsed_s"] >= 0.0
