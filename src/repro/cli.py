@@ -63,8 +63,9 @@ def _parse_span(args):
         f_delta=args.f_delta,
         n_workers=args.workers,
         max_capture_retries=args.max_capture_retries,
-        capture_timeout_s=args.capture_timeout,
-        retry_backoff_s=args.retry_backoff,
+        # Per-capture journal flags exist on scan/record only.
+        capture_timeout_s=getattr(args, "capture_timeout", None),
+        retry_backoff_s=getattr(args, "retry_backoff", FaseConfig.retry_backoff_s),
         name="cli campaign",
     )
 
@@ -98,6 +99,23 @@ def _add_campaign_arguments(parser):
         help="retry budget per capture (degraded mode and durable execution)",
     )
     parser.add_argument(
+        "--telemetry-jsonl",
+        default=None,
+        metavar="PATH",
+        help="append every telemetry record (spans, events, final metrics "
+        "snapshot) to PATH as one JSON object per line",
+    )
+    parser.add_argument(
+        "--profile",
+        action="store_true",
+        help="attribute campaign wall-clock to capture/average/score/detect "
+        "stages and print the breakdown after the run",
+    )
+
+
+def _add_durable_arguments(parser):
+    """scan/record's per-capture journal flags."""
+    parser.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
@@ -108,8 +126,8 @@ def _add_campaign_arguments(parser):
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="with --checkpoint-dir (or survey --manifest-dir): continue "
-        "an existing journal/manifest instead of refusing to touch it",
+        help="with --checkpoint-dir: continue an existing journal instead "
+        "of refusing to touch it",
     )
     parser.add_argument(
         "--capture-timeout",
@@ -127,19 +145,6 @@ def _add_campaign_arguments(parser):
         metavar="SECONDS",
         help="base of the bounded exponential backoff between capture "
         "retries on the durable path (default 0.5)",
-    )
-    parser.add_argument(
-        "--telemetry-jsonl",
-        default=None,
-        metavar="PATH",
-        help="append every telemetry record (spans, events, final metrics "
-        "snapshot) to PATH as one JSON object per line",
-    )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="attribute campaign wall-clock to capture/average/score/detect "
-        "stages and print the breakdown after the run",
     )
 
 
@@ -242,7 +247,6 @@ def cmd_survey(args):
             seed=args.seed,
             workers=args.workers,
             fault_classes=fault_classes,
-            checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             telemetry_dir=telemetry_dir,
             telemetry=telemetry,
@@ -535,6 +539,7 @@ def build_parser():
     scan = sub.add_parser("scan", help="run FASE on a preset machine")
     _add_machine_argument(scan)
     _add_campaign_arguments(scan)
+    _add_durable_arguments(scan)
     scan.add_argument("--pair", default=None, help="activity pair, e.g. LDM/LDL1")
     scan.set_defaults(handler=cmd_scan)
 
@@ -600,6 +605,12 @@ def build_parser():
         "completed shards and continues where the killed run stopped",
     )
     survey.add_argument(
+        "--resume",
+        action="store_true",
+        help="with --manifest-dir: continue an existing manifest instead "
+        "of refusing to touch it",
+    )
+    survey.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
@@ -639,6 +650,7 @@ def build_parser():
     record = sub.add_parser("record", help="run a campaign and save the spectra")
     _add_machine_argument(record)
     _add_campaign_arguments(record)
+    _add_durable_arguments(record)
     record.add_argument("--pair", default="LDM/LDL1")
     record.add_argument(
         "--uncompressed",
@@ -771,8 +783,6 @@ def build_parser():
     submit.add_argument("--f-delta", type=float, default=0.5e3)
     submit.add_argument("--workers", type=int, default=1, help=argparse.SUPPRESS)
     submit.add_argument("--max-capture-retries", type=int, default=2, help=argparse.SUPPRESS)
-    submit.add_argument("--capture-timeout", type=float, default=None, help=argparse.SUPPRESS)
-    submit.add_argument("--retry-backoff", type=float, default=0.5, help=argparse.SUPPRESS)
     submit.add_argument("--max-shard-retries", type=int, default=2, metavar="N")
     submit.add_argument(
         "--wait",

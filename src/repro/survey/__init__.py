@@ -35,7 +35,7 @@ death with bounded, ledgered requeues.
 Entry points: :func:`run_survey` directly, or ``repro survey`` on the
 command line (``--machines``, ``--workers``, ``--bands``,
 ``--manifest-dir``, ``--shard-timeout``, plus the standard
-campaign/fault/durability/telemetry flags).
+campaign/fault/telemetry flags).
 """
 
 from .dataplane import (
@@ -83,7 +83,7 @@ from .report import (
     SurveyLedger,
     SurveyReport,
 )
-from .shards import ShardResult, ShardSpec, beat_heartbeat, run_shard, shard_journal_dir
+from .shards import ShardResult, ShardSpec, beat_heartbeat, run_shard
 
 __all__ = [
     "AdaptivePlanner",
@@ -131,5 +131,4 @@ __all__ = [
     "run_shard",
     "run_shard_adaptive",
     "run_survey",
-    "shard_journal_dir",
 ]

@@ -218,8 +218,6 @@ def plan_shards(
     bands=None,
     seed=0,
     fault_classes=None,
-    checkpoint_dir=None,
-    resume=True,
     telemetry_dir=None,
 ):
     """The survey's work plan: one :class:`ShardSpec` per (machine, pair, band).
@@ -267,8 +265,6 @@ def plan_shards(
                         band=band_label,
                         seed=seed,
                         fault_classes=classes,
-                        checkpoint_dir=None if checkpoint_dir is None else str(checkpoint_dir),
-                        resume=resume,
                         telemetry_jsonl=telemetry_jsonl,
                     )
                 )
@@ -781,7 +777,6 @@ def run_survey(
     seed=0,
     workers=1,
     fault_classes=None,
-    checkpoint_dir=None,
     resume=True,
     telemetry_dir=None,
     telemetry=None,
@@ -804,10 +799,9 @@ def run_survey(
     for the same plan and seed.
 
     ``fault_classes`` (``"all"`` or names) runs every shard degraded;
-    ``checkpoint_dir`` gives each shard a durable journal under
-    ``<dir>/<shard>`` so a killed survey resumes; ``telemetry_dir``
-    streams each shard's records to ``<dir>/<shard>.jsonl``, and every
-    shard's metrics snapshot is merged into ``report.telemetry``.
+    ``telemetry_dir`` streams each shard's records to
+    ``<dir>/<shard>.jsonl``, and every shard's metrics snapshot is merged
+    into ``report.telemetry``.
     ``telemetry`` (a parent-side :class:`~repro.telemetry.Telemetry`)
     additionally receives survey lifecycle events and the merged
     snapshot. A shard whose worker process dies is requeued at most
@@ -838,14 +832,14 @@ def run_survey(
     reach the detection threshold. The returned report carries the
     reconciled :class:`~repro.survey.planner.PlanAccounting` in
     ``report.planning`` and one ledger decision per shard the planner
-    cut short. Adaptive *shards* support clean, non-durable runs only —
-    ``fault_classes``, ``checkpoint_dir``, ``keep_spectra``, and
-    ``shard_fn`` are incompatible with a planner — but adaptive
-    *surveys* are durable through ``manifest_dir``, which journals the
-    planner's pre-scan promises and per-shard budget accounting
-    alongside the results.
+    cut short. Adaptive surveys support clean runs only —
+    ``fault_classes``, ``keep_spectra``, ``shard_fn`` and
+    ``cancel_event`` are incompatible with a planner — but they are
+    durable through ``manifest_dir``, which journals the planner's
+    pre-scan promises and per-shard budget accounting alongside the
+    results.
 
-    ``manifest_dir`` makes the whole survey crash-safe: every shard
+    ``manifest_dir`` is the one way a survey resumes: every shard
     outcome, ledger event, and planner decision is appended to a
     checksummed journal (:mod:`~repro.survey.manifest`) as it happens,
     and re-running the same plan with ``resume=True`` skips completed
@@ -877,7 +871,6 @@ def run_survey(
     if planner is not None:
         incompatible = {
             "fault_classes": fault_classes is not None,
-            "checkpoint_dir": checkpoint_dir is not None,
             "keep_spectra": keep_spectra,
             "shard_fn": shard_fn is not None,
             "cancel_event": cancel_event is not None,
@@ -910,8 +903,6 @@ def run_survey(
         bands=bands,
         seed=seed,
         fault_classes=fault_classes,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
         telemetry_dir=telemetry_dir,
     )
     if telemetry_dir is not None:

@@ -91,7 +91,7 @@ def plan_fingerprint(specs, planner=None):
     the capture-relevant config fields — the same field set the campaign
     journal fingerprints, so the two layers agree on what "the same
     measurement" means — and the planner's tunables when adaptive.
-    Runtime knobs (workers, timeouts, checkpoint/telemetry paths,
+    Runtime knobs (workers, timeouts, telemetry paths,
     ``keep_spectra``) are deliberately excluded: tuning them between runs
     never orphans a manifest.
     """

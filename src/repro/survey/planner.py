@@ -13,6 +13,8 @@ existing shard plan:
    from its own seed-derived child stream (``prescan:{shard_id}``) on a
    fresh machine instance, so it is a pure function of
    ``(seed, shard_id)`` and cannot perturb the full-resolution run.
+   Pre-scans run on the engine's drain like any shard; one that still
+   fails after its retries is ledgered ``prescan-skipped``.
 2. **Budgeted allocation** (:class:`CaptureBudget` inside
    :func:`run_planned`): full-resolution captures are granted to shards
    in promise order, round by round, under a global budget and optional
@@ -43,19 +45,17 @@ from functools import partial
 
 import numpy as np
 
-from ..core.campaign import MeasurementCampaign
+from ..core.campaign import CampaignResult, MeasurementCampaign
 from ..core.detect import CarrierDetector
 from ..core.harmonics import group_harmonics
 from ..core.heuristic import HeuristicScorer, IncrementalEvidence
-from ..core.pipeline import is_memory_pair, pair_label
+from ..core.pipeline import is_memory_pair
 from ..core.report import ActivityReport
 from ..errors import SurveyError
-from ..rng import child_rng, make_rng
-from ..system import ALL_PRESETS
+from ..rng import child_rng
 from ..telemetry import JsonlSink, Telemetry, record_campaign_ledger, use_telemetry
-from ..uarch.isa import MicroOp
-from .report import BUDGET_EXHAUSTED, EARLY_STOPPED, PRESCAN_SKIPPED
-from .shards import ShardResult, beat_heartbeat
+from .report import BUDGET_EXHAUSTED, EARLY_STOPPED, PRESCAN_SKIPPED, SurveyLedger
+from .shards import ShardResult, _shard_setup, beat_heartbeat
 
 #: Statuses a funded adaptive shard can finish with.
 COMPLETED = "completed"
@@ -311,18 +311,6 @@ class PlanAccounting:
 # Per-shard workers (module-level: picklable by reference for the pool).
 
 
-def _shard_setup(spec):
-    """Shared shard preamble: preset, root stream, ops, label."""
-    preset = ALL_PRESETS.get(spec.machine)
-    if preset is None:
-        raise SurveyError(
-            f"unknown preset machine {spec.machine!r}; choose from {sorted(ALL_PRESETS)}"
-        )
-    root = make_rng(spec.seed)
-    op_x, op_y = (MicroOp(value) for value in spec.pair)
-    return preset, root, op_x, op_y, pair_label(op_x, op_y)
-
-
 def prescan_shard(spec, planner):
     """The cheap low-resolution pass; returns a :class:`ShardPromise`.
 
@@ -330,11 +318,13 @@ def prescan_shard(spec, planner):
     ``machine:{name}`` child stream as the full run, with its own
     ``prescan:{shard_id}`` campaign stream — a pure function of
     ``(seed, shard_id)`` that leaves the full-resolution streams
-    untouched.
+    untouched. It beats the shard's heartbeat after every capture, as a
+    funded shard does, so the stall watchdog never kills a live pre-scan.
     """
     preset, root, op_x, op_y, label = _shard_setup(spec)
     config = planner.prescan_config(spec.config)
     telemetry = Telemetry()
+    beat_heartbeat(spec.heartbeat_path)
     try:
         with use_telemetry(telemetry):
             with telemetry.span("prescan", shard=spec.shard_id, fres=config.fres):
@@ -342,7 +332,16 @@ def prescan_shard(spec, planner):
                 campaign = MeasurementCampaign(
                     machine, config, rng=child_rng(root, f"prescan:{spec.shard_id}")
                 )
-                result = campaign.run(op_x, op_y, label=label)
+                # The serial capture stream of ``campaign.run``, one
+                # heartbeat per capture.
+                result = CampaignResult(
+                    config=config, machine_name=machine.name, activity_label=label
+                )
+                activities = campaign.activities_for(op_x, op_y, label=label)
+                for measurement in campaign.iter_captures(activities, label=label):
+                    result.measurements.append(measurement)
+                    beat_heartbeat(spec.heartbeat_path)
+                result.validate()
                 scorer = HeuristicScorer()
                 scores = scorer.all_scores(result)
                 promise = float(np.max(scorer.combined_zscore(result, scores=scores)))
@@ -374,7 +373,6 @@ def run_shard_adaptive(spec, planner, detector=None):
     """
     gates = {
         "fault_classes": spec.fault_classes is not None,
-        "checkpoint_dir": spec.checkpoint_dir is not None,
         "keep_spectra": bool(spec.keep_spectra),
     }
     active = [name for name, triggered in gates.items() if triggered]
@@ -467,50 +465,33 @@ def run_shard_adaptive(spec, planner, detector=None):
 # The allocator.
 
 
-def _prescan_all(specs, planner, workers, telemetry):
-    """Pre-scan every shard; errors become ``-inf``-promise entries.
+def _prescan_all(specs, planner, drain):
+    """Pre-scan every shard on the engine's drain; failures become ``-inf`` promises.
 
-    Parallel pre-scans recompute nothing the serial path would not —
-    :func:`prescan_shard` is pure — so a shard whose parallel future
-    failed (including pool breaks) is simply retried inline, keeping the
-    promise table invariant to ``workers``.
+    ``drain(specs, shard_fn, results, ledger)`` is the run's own
+    :func:`~repro.survey.engine._drain`, so worker deaths, retries and the
+    stall watchdog treat a pre-scan exactly like a shard. It ledgers into
+    a scratch :class:`~repro.survey.report.SurveyLedger`: a failed
+    pre-scan never spends the full run's retry budget. A shard the drain
+    abandons gets a ``-inf`` promise carrying the abandon reason, which
+    the allocator ledgers ``prescan-skipped``.
     """
     outcomes = {}
-    if workers > 1 and len(specs) > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        try:
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                futures = {
-                    spec.shard_id: pool.submit(prescan_shard, spec, planner)
-                    for spec in specs
-                }
-                for shard_id, future in futures.items():
-                    try:
-                        outcomes[shard_id] = future.result()
-                    except Exception:  # noqa: BLE001 - retried inline below
-                        pass
-        except Exception:  # noqa: BLE001 - broken pool: fall back to inline
-            pass
+    scratch = SurveyLedger()
+    drain(specs, partial(prescan_shard, planner=planner), outcomes, scratch)
     for spec in specs:
         if spec.shard_id in outcomes:
             continue
-        try:
-            outcomes[spec.shard_id] = prescan_shard(spec, planner)
-        except Exception as exc:  # noqa: BLE001 - ledgered as a skip
-            telemetry.event("prescan-error", shard=spec.shard_id, error=str(exc))
-            outcomes[spec.shard_id] = ShardPromise(
-                shard_id=spec.shard_id,
-                machine=spec.machine,
-                promise=-math.inf,
-                evidence=0.0,
-                captures=len(spec.config.falts()),
-                prescan_captures=0,
-                cost_equivalent=0.0,
-                error=str(exc),
-            )
+        outcomes[spec.shard_id] = ShardPromise(
+            shard_id=spec.shard_id,
+            machine=spec.machine,
+            promise=-math.inf,
+            evidence=0.0,
+            captures=len(spec.config.falts()),
+            prescan_captures=0,
+            cost_equivalent=0.0,
+            error=scratch.abandoned[spec.shard_id],
+        )
     return outcomes
 
 
@@ -544,7 +525,8 @@ def run_planned(
 ):
     """Drive a shard plan through the budgeted adaptive schedule.
 
-    Three phases: (1) pre-scan every shard for its promise; (2) filter
+    Three phases: (1) pre-scan every shard for its promise, on the same
+    drain as the funded rounds; (2) filter
     shards below ``min_promise`` (and pre-scan failures) into the
     ``prescan-skipped`` ledger state; (3) fund and run shards in promise
     order, round by round — each round funds every still-fundable shard
@@ -570,10 +552,18 @@ def run_planned(
     spend into the budget (:meth:`CaptureBudget.restore`), and the
     accounting invariant ``used + saved == exhaustive`` holds across the
     interruption. ``shard_timeout_s`` arms the engine's stall watchdog
-    for each round.
+    for the pre-scan and each round.
     """
     from .engine import _drain
 
+    drain = partial(
+        _drain,
+        telemetry=telemetry,
+        workers=workers,
+        max_shard_retries=max_shard_retries,
+        max_pool_breaks=max_pool_breaks,
+        shard_timeout_s=shard_timeout_s,
+    )
     restored_promises = restored_promises or {}
     restored_outcomes = restored_outcomes or {}
     with telemetry.span("plan_survey", n_shards=len(specs), workers=workers):
@@ -584,7 +574,7 @@ def run_planned(
         need_prescan = [spec for spec in specs if spec.shard_id not in promises]
         if need_prescan:
             with telemetry.span("prescan-sweep", n_shards=len(need_prescan)):
-                fresh = _prescan_all(need_prescan, planner, workers, telemetry)
+                fresh = _prescan_all(need_prescan, planner, drain)
             promises.update(fresh)
             if manifest is not None:
                 for spec in need_prescan:
@@ -670,17 +660,7 @@ def run_planned(
             pending = held
             round_results = {}
             with telemetry.span("plan-round", n_funded=len(funded)):
-                _drain(
-                    funded,
-                    partial(run_shard_adaptive, planner=planner),
-                    round_results,
-                    ledger,
-                    telemetry,
-                    workers,
-                    max_shard_retries,
-                    max_pool_breaks,
-                    shard_timeout_s=shard_timeout_s,
-                )
+                drain(funded, partial(run_shard_adaptive, planner=planner), round_results, ledger)
             # Refunds are applied only after the round barrier, so the
             # funding sequence is a pure function of (specs, planner).
             for spec in funded:

@@ -12,12 +12,18 @@ every input it needs travels in one picklable :class:`ShardSpec`:
   shards are statistically independent and each one's result is a pure
   function of ``(seed, shard_id)`` — which is exactly why a process-pool
   run and a serial run of the same plan produce identical detections;
-* fault plans are named by class (rebuilt in-process), durable journals
-  live under ``checkpoint_dir/<shard>``, and telemetry streams to a
-  per-shard JSONL whose final :class:`~repro.telemetry.MetricsSnapshot`
-  rides back to the parent in :attr:`ShardResult.metrics` (the
-  ``to_dict`` form — the cross-process snapshot protocol).
+* fault plans are named by class (rebuilt in-process), and telemetry
+  streams to a per-shard JSONL whose final
+  :class:`~repro.telemetry.MetricsSnapshot` rides back to the parent in
+  :attr:`ShardResult.metrics` (the ``to_dict`` form — the cross-process
+  snapshot protocol).
 
+A shard is also the survey's unit of resume: it either has a record in
+the survey manifest (:mod:`~repro.survey.manifest`) or re-runs whole, so
+shards keep no per-capture journals of their own.
+
+:func:`_shard_setup` is the preamble every shard runner shares
+(:func:`run_shard` here, the planner's pre-scan and adaptive shards).
 :func:`run_shard` is a module-level function so a
 ``ProcessPoolExecutor`` can pickle it by reference.
 """
@@ -33,7 +39,6 @@ from .dataplane import pickle_campaign, publish_campaign
 from ..faults import FaultPlan
 from ..io import _config_from_dict, _config_to_dict
 from ..rng import child_rng, make_rng
-from ..runner import journal_dirname
 from ..system import ALL_PRESETS
 from ..telemetry import JsonlSink, Telemetry
 from ..uarch.isa import MicroOp
@@ -56,8 +61,6 @@ class ShardSpec:
     band: str  # human-readable band label, e.g. "0-2 MHz"
     seed: int
     fault_classes: object = None  # tuple of names | None (clean run)
-    checkpoint_dir: object = None  # survey root; shard journal below it
-    resume: bool = True
     telemetry_jsonl: object = None  # per-shard JSONL path | None
     block: object = None  # BlockRef into the parent's TraceArena | None
     keep_spectra: bool = False  # ship spectra by pickle when no block (shm fallback)
@@ -93,18 +96,13 @@ class ShardResult:
     spectra: object = None  # SpectraMeta (block) | PickledSpectra (shm fallback) | None
 
 
-def shard_journal_dir(checkpoint_dir, shard_id):
-    """The durable journal root for one shard under the survey's root."""
-    return str(Path(checkpoint_dir) / journal_dirname(shard_id))
-
-
 def shard_spec_to_dict(spec):
     """The JSON wire form of a :class:`ShardSpec` for remote workers.
 
     Only the *portable* fields travel — the ones that make the shard a
     pure function of ``(seed, shard_id)``. Host-local plumbing
-    (``checkpoint_dir``, ``telemetry_jsonl``, ``heartbeat_path``, the
-    shared-memory ``block``) is deliberately dropped: those are paths
+    (``telemetry_jsonl``, ``heartbeat_path``, the shared-memory
+    ``block``) is deliberately dropped: those are paths
     and handles in the *sender's* filesystem/address space, and a
     worker host re-derives its own.
     """
@@ -118,7 +116,6 @@ def shard_spec_to_dict(spec):
         "fault_classes": (
             None if spec.fault_classes is None else list(spec.fault_classes)
         ),
-        "resume": bool(spec.resume),
     }
 
 
@@ -133,7 +130,6 @@ def shard_spec_from_dict(data):
         band=data["band"],
         seed=int(data.get("seed", 0)),
         fault_classes=None if fault_classes is None else tuple(fault_classes),
-        resume=bool(data.get("resume", True)),
     )
 
 
@@ -153,6 +149,17 @@ def beat_heartbeat(path):
         pass
 
 
+def _shard_setup(spec):
+    """The shard preamble: ``(preset, root stream, op_x, op_y, label)``."""
+    preset = ALL_PRESETS.get(spec.machine)
+    if preset is None:
+        raise SurveyError(
+            f"unknown preset machine {spec.machine!r}; choose from {sorted(ALL_PRESETS)}"
+        )
+    op_x, op_y = (MicroOp(value) for value in spec.pair)
+    return preset, make_rng(spec.seed), op_x, op_y, pair_label(op_x, op_y)
+
+
 def run_shard(spec):
     """Run one survey shard end to end; returns a :class:`ShardResult`.
 
@@ -161,22 +168,13 @@ def run_shard(spec):
     pipeline), so results are identical whether this runs inline in the
     parent or in a pool worker, and re-running a requeued shard is safe.
     """
-    preset = ALL_PRESETS.get(spec.machine)
-    if preset is None:
-        raise SurveyError(
-            f"unknown preset machine {spec.machine!r}; choose from {sorted(ALL_PRESETS)}"
-        )
-    root = make_rng(spec.seed)
+    preset, root, op_x, op_y, label = _shard_setup(spec)
     # Keyed by machine name only: every shard of this machine rebuilds the
     # identical system model, so per-machine results merge coherently.
     machine = preset(rng=child_rng(root, f"machine:{spec.machine}"))
-    op_x, op_y = (MicroOp(value) for value in spec.pair)
     fault_plan = None
     if spec.fault_classes is not None:
         fault_plan = FaultPlan.default(tuple(spec.fault_classes))
-    checkpoint_dir = None
-    if spec.checkpoint_dir is not None:
-        checkpoint_dir = shard_journal_dir(spec.checkpoint_dir, spec.shard_id)
     sinks = [JsonlSink(spec.telemetry_jsonl)] if spec.telemetry_jsonl else []
     telemetry = Telemetry(sinks=sinks)
     beat_heartbeat(spec.heartbeat_path)
@@ -206,14 +204,11 @@ def run_shard(spec):
             rng=child_rng(root, f"shard:{spec.shard_id}"),
             n_workers=1,  # parallelism lives at the process level
             fault_plan=fault_plan,
-            checkpoint_dir=checkpoint_dir,
-            resume=spec.resume,
             telemetry=telemetry,
             campaign_hook=campaign_hook,
         )
     finally:
         telemetry.close()
-    label = pair_label(op_x, op_y)
     return ShardResult(
         shard_id=spec.shard_id,
         machine=spec.machine,

@@ -408,6 +408,15 @@ class TestCliDurable:
         assert "FASE report" in out
         assert (tmp_path / "ckpt" / "LDM-LDL1" / "HEADER.json").is_file()
 
+    def test_survey_rejects_checkpoint_dir(self, tmp_path, capsys):
+        """Surveys resume through ``--manifest-dir`` only; the per-capture
+        journal flags belong to ``scan`` and ``record``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["survey", "--checkpoint-dir", str(tmp_path / "ckpt")])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --checkpoint-dir" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestFormatMarkerDamage:
     """Regression: a mangled format marker used to raise plain

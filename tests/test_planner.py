@@ -13,11 +13,14 @@ every shard the planner cut short carries a ledger decision saying why.
 from __future__ import annotations
 
 import math
+import os
+import time
 
 import pytest
 
 from repro import FaseConfig, MicroOp, run_survey
 from repro.errors import SurveyError
+import repro.survey.planner as planner_module
 from repro.survey import (
     AdaptivePlanner,
     BUDGET_EXHAUSTED,
@@ -237,7 +240,6 @@ class TestAdaptiveShard:
         "field, value",
         [
             ("fault_classes", ("drop",)),
-            ("checkpoint_dir", "/tmp/journals"),
             ("keep_spectra", True),
         ],
     )
@@ -264,12 +266,10 @@ class TestAdaptiveShard:
             pairs=((MicroOp.LDM, MicroOp.LDL1),),
             config=FIG11,
         )
-        bad = dataclasses.replace(
-            spec, fault_classes=("drop",), checkpoint_dir="/tmp/j", keep_spectra=True
-        )
+        bad = dataclasses.replace(spec, fault_classes=("drop",), keep_spectra=True)
         with pytest.raises(
             SurveyError,
-            match="incompatible with: fault_classes, checkpoint_dir, keep_spectra",
+            match="incompatible with: fault_classes, keep_spectra",
         ):
             run_shard_adaptive(bad, AdaptivePlanner())
 
@@ -354,7 +354,89 @@ class TestPlannerConfig:
             run_survey(
                 **FIG17_PLAN, planner=planner, fault_classes="all"
             )
-        with pytest.raises(SurveyError, match="checkpoint_dir"):
-            run_survey(**FIG17_PLAN, planner=planner, checkpoint_dir=tmp_path)
         with pytest.raises(SurveyError, match="keep_spectra"):
             run_survey(**FIG17_PLAN, planner=planner, keep_spectra=True)
+
+
+# ----------------------------------------------------------------------
+# Pre-scans run on the engine's drain: hung or dying pre-scan workers are
+# ledgered like any shard, never waited on forever or retried in the parent.
+
+#: A small 2-shard plan; the first shard's pre-scan is the one that misbehaves.
+SMALL_PLAN = dict(
+    machines=("corei7_desktop",),
+    pairs=((MicroOp.LDM, MicroOp.LDL1),),
+    config=FaseConfig(
+        span_low=0.0, span_high=1e6, fres=500.0, falt1=43.3e3, f_delta=2.5e3,
+        name="prescan drain fixture",
+    ),
+    bands=2,
+    seed=3,
+)
+_REAL_PRESCAN = planner_module.prescan_shard
+_PARENT_PID = os.getpid()
+#: Filled per test; forked workers inherit it.
+_MISBEHAVE = {}
+
+
+def _misbehaving_prescan(spec, planner):
+    """The real pre-scan, except for one shard when run in a forked worker."""
+    if spec.shard_id == _MISBEHAVE.get("shard_id"):
+        if _MISBEHAVE["mode"] == "hang" and os.getpid() != _PARENT_PID:
+            time.sleep(20.0)
+        elif _MISBEHAVE["mode"] == "die":
+            if os.getpid() != _PARENT_PID:
+                os._exit(9)
+            # An inline retry in the parent would land here.
+            with open(_MISBEHAVE["marker"], "w") as handle:
+                handle.write("pre-scan retried in the parent\n")
+            raise RuntimeError("pre-scan retried in the parent")
+    return _REAL_PRESCAN(spec, planner)
+
+
+class TestPrescanOnTheDrain:
+    @pytest.fixture
+    def victim(self, monkeypatch):
+        monkeypatch.setattr(planner_module, "prescan_shard", _misbehaving_prescan)
+        shard_id = plan_shards(**SMALL_PLAN)[0].shard_id
+        monkeypatch.setitem(_MISBEHAVE, "shard_id", shard_id)
+        return shard_id
+
+    def test_hung_prescan_is_killed_by_the_watchdog(self, victim, monkeypatch):
+        """Regression: the pre-scan pool had no watchdog, so one hung
+        pre-scan wedged an armed ``--shard-timeout`` survey."""
+        monkeypatch.setitem(_MISBEHAVE, "mode", "hang")
+        started = time.monotonic()
+        report = run_survey(
+            **SMALL_PLAN,
+            planner=AdaptivePlanner(),
+            workers=2,
+            shard_timeout_s=2,
+            max_shard_retries=1,
+        )
+        assert time.monotonic() - started < 15.0
+        kind, detail = report.ledger.planned[victim]
+        assert kind == PRESCAN_SKIPPED
+        assert "shard-stalled" in detail
+        # The scratch pre-scan ledger spends none of the full run's budget.
+        assert report.ledger.failures == []
+        assert report.planning.n_prescan_skipped == 1
+        assert report.n_completed == 1
+
+    def test_dying_prescan_is_never_retried_in_the_parent(
+        self, victim, monkeypatch, tmp_path
+    ):
+        """Regression: a pre-scan whose worker died was retried inline in
+        the parent process, where a fatal shard takes the survey down."""
+        marker = tmp_path / "parent-ran-prescan"
+        monkeypatch.setitem(_MISBEHAVE, "mode", "die")
+        monkeypatch.setitem(_MISBEHAVE, "marker", str(marker))
+        report = run_survey(
+            **SMALL_PLAN, planner=AdaptivePlanner(), workers=2, max_shard_retries=1
+        )
+        assert not marker.exists()
+        kind, detail = report.ledger.planned[victim]
+        assert kind == PRESCAN_SKIPPED
+        assert "worker-death" in detail
+        assert report.ledger.failures == []
+        assert report.n_completed == 1

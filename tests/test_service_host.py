@@ -222,7 +222,6 @@ class TestClaimReportEndpoints:
         assert claimed.spec.seed == 7
         # Host-local plumbing never crosses the wire.
         assert claimed.spec.heartbeat_path is None
-        assert claimed.spec.checkpoint_dir is None
         # Report it back by hand; the job completes.
         client.report_result(
             job_id, claimed.spec.shard_id, stub_result(claimed.spec),
@@ -312,12 +311,10 @@ class TestShardSpecWire:
         assert revived.band == spec.band
         assert revived.seed == 11
         assert revived.fault_classes == ("drift", "glitch")
-        assert revived.resume is spec.resume
         assert revived.config == spec.config
         # Host-local fields are deliberately not wired: each host owns
         # its own scratch plumbing.
         assert revived.heartbeat_path is None
-        assert revived.checkpoint_dir is None
         assert revived.telemetry_jsonl is None
 
 

@@ -172,11 +172,9 @@ class TestPlanShards:
             machines=("corei7_desktop",),
             pairs=ONE_PAIR,
             config=SMALL,
-            checkpoint_dir=tmp_path / "journals",
             telemetry_dir=tmp_path / "telemetry",
         )
         [spec] = specs
-        assert spec.checkpoint_dir == str(tmp_path / "journals")
         assert spec.telemetry_jsonl.endswith(".jsonl")
         assert str(tmp_path / "telemetry") in spec.telemetry_jsonl
 
