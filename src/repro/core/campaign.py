@@ -12,7 +12,9 @@ spectrum).
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from ..errors import CampaignError, CaptureFaultError, DegradedCampaignError
 from ..rng import child_rng, ensure_rng
@@ -162,14 +164,19 @@ class CampaignResult:
 class MeasurementCampaign:
     """Drives a system model through one FASE campaign.
 
-    ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) switches the
-    campaign onto the degraded-mode path: captures go through a
-    :class:`~repro.faults.FaultyAnalyzer`, every capture is screened
-    against the cohort, failed or flagged captures are retried up to
-    ``config.max_capture_retries`` times, and persistent failures are
-    flagged (quality) or omitted (drops) with a full
-    :class:`~repro.faults.RobustnessReport` on the result. Without a
-    plan the capture paths are exactly the clean serial/parallel ones.
+    A clean campaign with ``config.n_workers == 1`` draws every capture
+    from one shared ``analyzer`` stream in falt order
+    (:meth:`iter_captures`). Every other campaign runs
+    :meth:`_capture_loop`, where each capture is a pure function of
+    (seed, index, attempt), on ``n_workers`` threads when that is above
+    one. ``fault_plan`` (a :class:`~repro.faults.FaultPlan`) sends the
+    loop's captures through a :class:`~repro.faults.FaultyAnalyzer`;
+    every capture is screened against the cohort, failed or flagged
+    captures are retried up to ``config.max_capture_retries`` times, and
+    persistent failures are flagged (quality) or omitted (drops) with a
+    full :class:`~repro.faults.RobustnessReport` on the result.
+    :class:`repro.runner.DurableCampaign` runs the same loop over a
+    journal.
     """
 
     def __init__(self, machine, config, latency_model=None, rng=None, fault_plan=None):
@@ -187,29 +194,54 @@ class MeasurementCampaign:
     def _indexed_analyzer(self, index, attempt=0):
         """A clean analyzer on the per-measurement derived noise stream.
 
-        Attempt 0 is the ``analyzer:{index}`` stream of the parallel clean
-        path; retries get their own ``analyzer:{index}:retry{a}`` stream.
-        Every consumer of indexed captures (the parallel path, the
-        degraded fault path, and :class:`repro.runner.DurableCampaign`)
-        derives analyzers here, so their outputs are pure functions of
-        (seed, index, attempt) and agree byte-for-byte with each other.
+        Attempt 0 is the ``analyzer:{index}`` stream; retries get their own
+        ``analyzer:{index}:retry{a}`` stream. Every route through
+        :meth:`_capture_loop` (the clean ``n_workers > 1`` route, the
+        fault-screened route and :class:`repro.runner.DurableCampaign`)
+        captures through :meth:`capture_attempt` and so derives analyzers
+        here: their captures are pure functions of (seed, index, attempt)
+        and agree byte-for-byte with each other.
         """
         suffix = f"analyzer:{index}" if attempt == 0 else f"analyzer:{index}:retry{attempt}"
         return SpectrumAnalyzer(
             n_averages=self.config.n_averages, rng=child_rng(self.rng, suffix)
         )
 
-    def capture_index(self, activities, label, grid, index, attempt=0):
-        """One clean indexed capture as a :class:`CampaignMeasurement`."""
+    def capture_attempt(self, activities, label, grid, index, attempt=0):
+        """One attempt at measurement ``index``: ``(trace or None, events)``.
+
+        Noise comes from :meth:`_indexed_analyzer`; under a fault plan the
+        capture goes through a :class:`~repro.faults.FaultyAnalyzer` whose
+        fault stream is ``faults:{index}:{attempt}``, so the outcome is a
+        pure function of (seed, index, attempt) regardless of worker count
+        or scheduling, and a ``FaultPlan.none()`` run is byte-identical to
+        the clean one. ``None`` is a capture the plan dropped; ``events``
+        are the faults injected into this attempt (none without a plan).
+        """
+        analyzer = self._indexed_analyzer(index, attempt)
+        if self.fault_plan is not None:
+            from ..faults.analyzer import FaultyAnalyzer
+
+            analyzer = FaultyAnalyzer(
+                analyzer,
+                self.fault_plan,
+                child_rng(self.rng, f"faults:{index}:{attempt}"),
+                index=index,
+                attempt=attempt,
+            )
         activity = activities[index]
         with current_telemetry().span(
             "capture", stage="capture", index=index, attempt=attempt, falt=activity.falt
-        ):
+        ) as capture_span:
             scene = self.machine.scene(activity)
-            trace = self._indexed_analyzer(index, attempt).capture(
-                scene, grid, label=f"{label} falt={activity.falt:.6g}Hz"
-            )
-        return CampaignMeasurement(falt=activity.falt, activity=activity, trace=trace)
+            try:
+                trace = analyzer.capture(
+                    scene, grid, label=f"{label} falt={activity.falt:.6g}Hz"
+                )
+            except CaptureFaultError:
+                capture_span.set(dropped=True)
+                return None, analyzer.events
+        return trace, (analyzer.events if self.fault_plan is not None else ())
 
     def activities_for(self, op_x, op_y, label=None):
         """One calibrated alternation activity per configured falt."""
@@ -273,187 +305,133 @@ class MeasurementCampaign:
             activity_label=label or activities[0].label or "activity",
         )
         telemetry = current_telemetry()
-        n_workers = min(self.config.n_workers, len(activities))
         with telemetry.span(
             "campaign", label=result.activity_label, n_falts=len(activities)
         ):
-            if self.fault_plan is not None:
-                measurements, robustness = self._capture_degraded(
-                    activities, result.activity_label, grid, n_workers
-                )
-                result.measurements.extend(measurements)
-                result.robustness = robustness
-                record_campaign_ledger(telemetry, result.measurements, robustness)
-                if len(result.included_measurements) < 2:
-                    raise DegradedCampaignError(
-                        f"only {len(result.included_measurements)} usable capture(s) out of "
-                        f"{len(activities)} survived fault screening",
-                        robustness=robustness,
-                    )
-                return result.validate()
-            if n_workers > 1:
-                result.measurements.extend(
-                    self._capture_parallel(activities, result.activity_label, grid, n_workers)
-                )
-            else:
+            if self.fault_plan is None and self.config.n_workers <= 1:
                 result.measurements.extend(
                     self.iter_captures(activities, label=result.activity_label)
                 )
-            record_campaign_ledger(telemetry, result.measurements, None)
+            else:
+                result.measurements, result.robustness = self._capture_loop(
+                    activities,
+                    partial(self.capture_attempt, activities, result.activity_label, grid),
+                )
+            record_campaign_ledger(telemetry, result.measurements, result.robustness)
+            if len(result.included_measurements) < 2:
+                raise DegradedCampaignError(
+                    f"only {len(result.included_measurements)} usable capture(s) out of "
+                    f"{len(activities)} survived fault screening",
+                    robustness=result.robustness,
+                )
         return result.validate()
 
-    def _capture_parallel(self, activities, label, grid, n_workers):
-        """Capture every activity's spectrum concurrently.
+    def _capture_loop(
+        self,
+        activities,
+        attempt,
+        restored=None,
+        *,
+        by_index=False,
+        exhausted="dropped",
+    ):
+        """The per-index capture loop: capture, retry, screen, assemble.
 
-        Each measurement gets its own analyzer whose noise stream is
-        derived from the campaign seed and the measurement index, so the
-        result is reproducible regardless of thread scheduling or worker
-        count (but differs from the serial shared-stream capture order).
-        Scene rendering is pure and emitters are immutable during render,
-        so sharing the machine across threads is safe.
-        """
+        ``attempt(index, attempt)`` returns ``(trace or None, events)``;
+        ``None`` is a failed attempt (a fault-plan drop, a watchdog
+        timeout). ``restored`` maps an index to the ``(trace, attempts,
+        events)`` a resumed run already holds. Returns ``(measurements,
+        robustness)``:
 
-        def capture(index):
-            return self.capture_index(activities, label, grid, index)
+        1. Each index without a trace is captured, a failed attempt retried
+           at once while ``config.max_capture_retries`` allows; an index
+           that fails every attempt is dropped ("capture {exhausted} on all
+           N attempt(s)").
+        2. Under a fault plan the present traces are screened and each
+           flagged capture with budget left goes through step 1's retry
+           again, the reference recomputed every round. An exhausted
+           re-capture drops the capture: its flagged trace is discarded.
+        3. Measurements are assembled in index order, screen failures kept
+           but flagged. Without a fault plan the report is ``None`` unless
+           an attempt failed (a watchdog timeout of durable execution).
 
-        with ThreadPoolExecutor(
-            max_workers=n_workers,
-            initializer=adopt_telemetry,
-            initargs=(current_telemetry(),),
-        ) as pool:
-            return list(pool.map(capture, range(len(activities))))
-
-    # ------------------------------------------------------------------
-    # Degraded mode: fault injection, screening, bounded retries.
-
-    def _degraded_attempt(self, activities, label, grid, index, attempt):
-        """One capture attempt of measurement ``index`` under the fault plan.
-
-        Noise and fault streams are both derived from (seed, index,
-        attempt) — never from a shared sequential stream — so the outcome
-        is a pure function of those three regardless of worker count or
-        scheduling. Attempt 0 reuses the clean parallel path's
-        ``analyzer:{index}`` stream, making a ``FaultPlan.none()`` run
-        byte-identical to the clean parallel capture path.
-
-        Returns ``(trace_or_None, events)``.
-        """
-        from ..faults.analyzer import FaultyAnalyzer
-
-        analyzer = FaultyAnalyzer(
-            self._indexed_analyzer(index, attempt),
-            self.fault_plan,
-            child_rng(self.rng, f"faults:{index}:{attempt}"),
-            index=index,
-            attempt=attempt,
-        )
-        activity = activities[index]
-        with current_telemetry().span(
-            "capture", stage="capture", index=index, attempt=attempt, falt=activity.falt
-        ) as capture_span:
-            scene = self.machine.scene(activity)
-            try:
-                trace = analyzer.capture(
-                    scene, grid, label=f"{label} falt={activity.falt:.6g}Hz"
-                )
-            except CaptureFaultError:
-                capture_span.set(dropped=True)
-                return None, analyzer.events
-        return trace, analyzer.events
-
-    def _capture_degraded(self, activities, label, grid, n_workers):
-        """Capture every activity under the fault plan, screening and retrying.
-
-        Three deterministic stages: (1) capture every index, immediately
-        retrying drops; (2) screen the cohort and retry flagged captures
-        (the cohort reference is recomputed after each retry round, since
-        a recovered capture sharpens it); (3) flag whatever still fails
-        with its final quality verdict. Results are aggregated in index
-        order, so the report and the traces are identical for any
-        ``n_workers``.
+        Each index's retries are one task; with ``config.n_workers`` above
+        one the tasks share one thread pool. Attempts are pure in (seed,
+        index, attempt), so nothing depends on scheduling. The ledger lists
+        events and exhaustions in rounds (every pending index's k-th
+        attempt before any (k+1)-th) or, with ``by_index``, grouped per
+        capture index, the order of a journal.
         """
         from ..faults.robustness import RobustnessReport
 
-        plan = self.fault_plan
-        max_retries = self.config.max_capture_retries
         n = len(activities)
-        attempts = [0] * n
-        traces = [None] * n
-        events = []
+        max_retries = self.config.max_capture_retries
+        traces, attempts, index_events = [None] * n, [0] * n, [[] for _ in range(n)]
+        for index, (trace, tried, prior) in (restored or {}).items():
+            traces[index], attempts[index], index_events[index] = trace, tried, list(prior)
+        events = [event for per_index in index_events for event in per_index]
         excluded = {}
+        screen = self.fault_plan.screen if self.fault_plan is not None else None
 
-        def run_attempts(indices):
-            tasks = [(index, attempts[index]) for index in indices]
-            if n_workers > 1 and len(tasks) > 1:
-                with ThreadPoolExecutor(
-                    max_workers=min(n_workers, len(tasks)),
-                    initializer=adopt_telemetry,
-                    initargs=(current_telemetry(),),
-                ) as pool:
-                    outcomes = list(
-                        pool.map(
-                            lambda task: self._degraded_attempt(activities, label, grid, *task),
-                            tasks,
-                        )
-                    )
-            else:
-                outcomes = [
-                    self._degraded_attempt(activities, label, grid, index, attempt)
-                    for index, attempt in tasks
-                ]
-            for index, (trace, attempt_events) in zip(indices, outcomes):
-                events.extend(attempt_events)
-                traces[index] = trace
-
-        def capture_until_present(indices):
-            """Attempt each index once, immediately retrying drops while
-            the per-index budget lasts; budget-exhausted drops are
-            recorded as excluded."""
-            pending = list(indices)
-            while pending:
-                run_attempts(pending)
-                retry = []
-                for index in pending:
-                    if traces[index] is not None:
-                        continue
-                    if attempts[index] < max_retries:
-                        attempts[index] += 1
-                        retry.append(index)
-                    else:
-                        excluded[index] = (
-                            f"capture dropped on all {attempts[index] + 1} attempt(s)",
-                        )
-                pending = retry
-
-        # Stage 1: first capture of every index (drop retries inline).
-        capture_until_present(range(n))
-
-        # Stage 2: cohort screening with bounded retries of flagged
-        # captures; the reference is recomputed each round because a
-        # recovered capture sharpens it.
-        qualities = {}
-        while True:
-            present = [index for index in range(n) if traces[index] is not None]
-            if len(present) < 2:
-                break
-            reference = plan.screen.reference([traces[index] for index in present])
-            qualities = {
-                index: plan.screen.assess(traces[index], reference) for index in present
-            }
-            retry = [
-                index
-                for index in present
-                if not qualities[index].ok and attempts[index] < max_retries
-            ]
-            if not retry:
-                break
-            for index in retry:
+        def until_present(index):
+            """Attempt ``index`` until a trace lands or its budget runs out;
+            returns each attempt's events."""
+            tries = []
+            while True:
+                trace, attempt_events = attempt(index, attempts[index])
+                tries.append(list(attempt_events))
+                index_events[index].extend(attempt_events)
+                if trace is not None or attempts[index] >= max_retries:
+                    traces[index] = trace
+                    return tries
                 attempts[index] += 1
-            capture_until_present(retry)
 
-        # Stage 3: assemble measurements; persistently bad captures are
-        # flagged (kept) and fully dropped ones omitted.
-        dropped = tuple(index for index in range(n) if traces[index] is None)
+        def capture(indices, run):
+            tries = dict(zip(indices, run(until_present, indices)))
+            for k in range(max(map(len, tries.values()), default=0)):
+                for index in indices:
+                    if k < len(tries[index]):
+                        events.extend(tries[index][k])
+            lost = [index for index in indices if traces[index] is None]
+            if not by_index:
+                lost.sort(key=lambda index: len(tries[index]))
+            for index in lost:
+                excluded[index] = (
+                    f"capture {exhausted} on all {attempts[index] + 1} attempt(s)",
+                )
+
+        n_workers = min(self.config.n_workers, n)
+        qualities = {}
+        with (
+            ThreadPoolExecutor(
+                max_workers=n_workers,
+                initializer=adopt_telemetry,
+                initargs=(current_telemetry(),),
+            )
+            if n_workers > 1
+            else nullcontext()
+        ) as pool:
+            run = pool.map if pool is not None else map
+            capture([index for index in range(n) if traces[index] is None], run)
+            while screen is not None:
+                present = [index for index in range(n) if traces[index] is not None]
+                if len(present) < 2:
+                    break
+                reference = screen.reference([traces[index] for index in present])
+                qualities = {
+                    index: screen.assess(traces[index], reference) for index in present
+                }
+                retry = [
+                    index
+                    for index in present
+                    if not qualities[index].ok and attempts[index] < max_retries
+                ]
+                if not retry:
+                    break
+                for index in retry:
+                    attempts[index] += 1
+                capture(retry, run)
+
         measurements = []
         for index, activity in enumerate(activities):
             trace = traces[index]
@@ -475,16 +453,22 @@ class MeasurementCampaign:
                     quality=quality,
                 )
             )
-        robustness = RobustnessReport(
-            plan_description=plan.describe(),
+        if by_index:
+            events = [event for per_index in index_events for event in per_index]
+        retries = {index: attempts[index] for index in range(n) if attempts[index] > 0}
+        if self.fault_plan is None and not (events or retries or excluded):
+            return measurements, None
+        return measurements, RobustnessReport(
+            plan_description=(
+                self.fault_plan.describe()
+                if self.fault_plan is not None
+                else "durable execution (no fault plan)"
+            ),
             events=events,
-            retries={
-                index: attempts[index] for index in range(n) if attempts[index] > 0
-            },
+            retries=retries,
             excluded=excluded,
-            dropped=dropped,
+            dropped=tuple(index for index in range(n) if traces[index] is None),
         )
-        return measurements, robustness
 
     def capture_steady(self, levels, label="steady"):
         """One averaged capture of a constant workload (e.g. Figure 14)."""

@@ -7,8 +7,7 @@ practice:
 * **a crash or kill** — every completed capture is checkpointed to a
   :class:`~repro.runner.journal.CampaignJournal` the moment the analyzer
   returns; rerunning the same campaign over the same journal resumes from
-  the last good capture and, for the same seed, produces a result
-  byte-identical to an uninterrupted run;
+  the last good capture of each index;
 * **a hung capture** — every attempt runs under a
   :class:`~repro.runner.watchdog.CaptureWatchdog` wall-clock deadline
   (``FaseConfig.capture_timeout_s``); a timed-out attempt is abandoned
@@ -21,13 +20,18 @@ practice:
   damage ledgered in ``result.robustness`` and scoring running
   leave-one-out, instead of aborting.
 
-Byte-identical resume is possible because durable captures run on the
-per-measurement derived random streams (``analyzer:{index}``) — exactly
-the clean parallel path's streams — so every capture is a pure function
-of (seed, index, attempt) regardless of where a previous run died. The
-serial shared-stream path cannot be resumed mid-way and is therefore not
-used here; an uninterrupted durable run equals the ``n_workers > 1``
-clean run trace-for-trace.
+The capture, retry, screening and assembly steps are
+:meth:`MeasurementCampaign._capture_loop`, the loop of every indexed
+route (on ``n_workers`` threads here too); this module adds the journal,
+the attempt step (backoff, watchdog, checkpoint) and the
+``min_good_captures`` floor. Captures run on the per-measurement derived
+streams (``analyzer:{index}``), pure in (seed, index, attempt), so an
+uninterrupted durable run equals the clean ``n_workers > 1`` run, or
+under a fault plan the fault-screened one, except that its ledger groups
+events per index and says "failed" for an exhausted capture. A kill
+before the screening retries resumes byte-identically; a kill between
+two screening retries resumes by screening the cohort it left behind,
+which can differ from the uninterrupted run's.
 
 Resume *references* checkpoints instead of copying them: journal records
 are written uncompressed (``ZIP_STORED``), so restoring a completed
@@ -63,8 +67,8 @@ class DurableCampaign(MeasurementCampaign):
     at least two). ``sleep`` is injectable for tests.
 
     Composes with ``fault_plan``: attempts go through the fault-injecting
-    analyzer and cohort screening exactly as on the degraded path, with
-    each successful capture journaled as it lands.
+    analyzer and cohort screening exactly as on the fault-screened route,
+    with each successful capture journaled as it lands.
     """
 
     def __init__(
@@ -91,72 +95,91 @@ class DurableCampaign(MeasurementCampaign):
         #: Capture indices restored from the journal by the last run.
         self.resumed_indices = ()
 
-    # ------------------------------------------------------------------
-
     def run_with_activities(self, activities, label=None):
         if len(activities) < 2:
             raise CampaignError("need at least two activities (one per falt)")
         grid = self.config.grid()
         label = label or activities[0].label or "activity"
         self._open_or_create_journal(activities, label)
-        with current_telemetry().span(
-            "campaign", label=label, n_falts=len(activities), durable=True
-        ):
-            return self._run_durable(activities, label, grid)
-
-    def _run_durable(self, activities, label, grid):
-        n = len(activities)
-        max_retries = self.config.max_capture_retries
-        traces = [None] * n
-        attempts = [0] * n
-        index_events = [[] for _ in range(n)]
-        excluded = {}
-
-        # Restore journaled captures. A record whose falt disagrees with
-        # the planned activity is stale (the fingerprint guards against
-        # this, but a damaged header could let one through) and is redone.
         telemetry = current_telemetry()
-        resumed = []
+        with telemetry.span("campaign", label=label, n_falts=len(activities), durable=True):
+            restored = self._restore(activities, grid)
+            measurements, robustness = self._capture_loop(
+                activities,
+                self._journaled_attempt(activities, label, grid, restored),
+                restored,
+                by_index=True,
+                exhausted="failed",
+            )
+            record_campaign_ledger(
+                telemetry, measurements, robustness, resumed=self.resumed_indices
+            )
+            usable = sum(1 for measurement in measurements if not measurement.flagged)
+            if usable < self.min_good_captures:
+                raise DegradedCampaignError(
+                    f"only {usable} usable capture(s) of {len(activities)} survived durable "
+                    f"execution (minimum {self.min_good_captures})",
+                    robustness=robustness,
+                )
+        return CampaignResult(
+            config=self.config,
+            machine_name=self.machine.name,
+            activity_label=label,
+            measurements=measurements,
+            robustness=robustness,
+        ).validate()
+
+    def _restore(self, activities, grid):
+        """``{index: (trace, attempt, events)}`` of the journaled captures.
+
+        A record whose falt disagrees with the planned activity is stale
+        (the fingerprint guards against this, but a damaged header could
+        let one through) and is redone.
+        """
+        telemetry = current_telemetry()
+        restored = {}
         for index, record in sorted(self.journal.records(grid).items()):
-            if index >= n:
+            if index >= len(activities):
                 continue
             planned = activities[index].falt
             if abs(record.activity.falt - planned) > 1e-9 * max(abs(planned), 1.0):
                 continue
-            traces[index] = record.trace
-            attempts[index] = record.attempt
-            index_events[index] = list(record.events)
-            resumed.append(index)
+            restored[index] = (record.trace, record.attempt, record.events)
             telemetry.event(
                 "capture-resumed",
                 index=index,
                 attempt=record.attempt,
                 n_journaled_events=len(record.events),
             )
-        self.resumed_indices = tuple(resumed)
+        self.resumed_indices = tuple(restored)
+        return restored
 
+    def _journaled_attempt(self, activities, label, grid, restored):
+        """The loop's attempt step: backoff, watchdog, then checkpoint.
+
+        Retry ``k`` of an index first sleeps ``backoff_delay(k)``; the
+        attempt then runs under the :class:`CaptureWatchdog`, a timed-out
+        attempt failing with a ``capture-timeout`` event; a trace that
+        lands is journaled at once with the index's cumulative events
+        (restored ones included), so a kill anywhere loses at most the
+        attempts in flight.
+        """
         watchdog = CaptureWatchdog(self.config.capture_timeout_s)
+        telemetry = current_telemetry()
+        history = {index: list(events) for index, (_, _, events) in restored.items()}
 
-        def one_attempt(index):
-            """One watchdogged capture attempt; returns a trace or None."""
-            attempt = attempts[index]
+        def journaled(index, attempt):
+            delay = backoff_delay(attempt, self.config.retry_backoff_s)
+            if delay > 0:
+                self._sleep(delay)
             try:
-                if self.fault_plan is not None:
-                    trace, events = watchdog.run(
-                        lambda: self._degraded_attempt(activities, label, grid, index, attempt),
-                        index=index,
-                        attempt=attempt,
-                    )
-                    index_events[index].extend(events)
-                    return trace
-                measurement = watchdog.run(
-                    lambda: self.capture_index(activities, label, grid, index, attempt),
+                trace, events = watchdog.run(
+                    lambda: self.capture_attempt(activities, label, grid, index, attempt),
                     index=index,
                     attempt=attempt,
                 )
-                return measurement.trace
             except CaptureTimeoutError:
-                index_events[index].append(
+                trace, events = None, [
                     FaultEvent(
                         fault=TIMEOUT_FAULT,
                         index=index,
@@ -166,135 +189,21 @@ class DurableCampaign(MeasurementCampaign):
                             "attempt abandoned"
                         ),
                     )
-                )
+                ]
                 telemetry.event(
                     "capture-timeout",
                     index=index,
                     attempt=attempt,
                     deadline_s=self.config.capture_timeout_s,
                 )
-                return None
-
-        def capture_with_retries(index):
-            """Attempt until a trace lands or the budget runs out.
-
-            Journals the capture on success; on exhaustion records the
-            exclusion and leaves ``traces[index]`` as-is (``None`` in the
-            first stage; the last journaled trace during screening
-            retries, mirroring the degraded path's drop semantics there).
-            """
-            while True:
-                trace = one_attempt(index)
-                if trace is not None:
-                    traces[index] = trace
-                    self.journal.append(
-                        index, attempts[index], activities[index], trace,
-                        events=index_events[index],
-                    )
-                    return True
-                if attempts[index] >= max_retries:
-                    traces[index] = None
-                    excluded[index] = (
-                        f"capture failed on all {attempts[index] + 1} attempt(s)",
-                    )
-                    return False
-                attempts[index] += 1
-                delay = backoff_delay(attempts[index], self.config.retry_backoff_s)
-                if delay > 0:
-                    self._sleep(delay)
-
-        # Stage 1: capture every index not restored from the journal.
-        for index in range(n):
-            if traces[index] is None:
-                capture_with_retries(index)
-
-        # Stage 2 (fault plan only): cohort screening with bounded
-        # retries, recomputing the reference after each retry round. Pure
-        # in the traces, so a resumed run replays it identically.
-        qualities = {}
-        if self.fault_plan is not None:
-            screen = self.fault_plan.screen
-            while True:
-                present = [index for index in range(n) if traces[index] is not None]
-                if len(present) < 2:
-                    break
-                reference = screen.reference([traces[index] for index in present])
-                qualities = {
-                    index: screen.assess(traces[index], reference) for index in present
-                }
-                retry = [
-                    index
-                    for index in present
-                    if not qualities[index].ok and attempts[index] < max_retries
-                ]
-                if not retry:
-                    break
-                for index in retry:
-                    attempts[index] += 1
-                    delay = backoff_delay(attempts[index], self.config.retry_backoff_s)
-                    if delay > 0:
-                        self._sleep(delay)
-                    capture_with_retries(index)
-
-        # Stage 3: assemble, salvage, report.
-        measurements = []
-        for index, activity in enumerate(activities):
-            trace = traces[index]
-            if trace is None:
-                continue
-            quality = qualities.get(index)
-            flagged = quality is not None and not quality.ok
-            if flagged:
-                excluded[index] = quality.reasons
-                telemetry.event(
-                    "screen-rejection", index=index, reasons=list(quality.reasons)
+            history.setdefault(index, []).extend(events)
+            if trace is not None:
+                self.journal.append(
+                    index, attempt, activities[index], trace, events=history[index]
                 )
-            measurements.append(
-                CampaignMeasurement(
-                    falt=activity.falt,
-                    activity=activity,
-                    trace=trace,
-                    flagged=flagged,
-                    quality=quality,
-                )
-            )
-        dropped = tuple(index for index in range(n) if traces[index] is None)
-        events = [event for per_index in index_events for event in per_index]
-        retries = {index: attempts[index] for index in range(n) if attempts[index] > 0}
+            return trace, events
 
-        robustness = None
-        if self.fault_plan is not None or events or retries or excluded:
-            plan_description = (
-                self.fault_plan.describe()
-                if self.fault_plan is not None
-                else "durable execution (no fault plan)"
-            )
-            robustness = RobustnessReport(
-                plan_description=plan_description,
-                events=events,
-                retries=retries,
-                excluded=excluded,
-                dropped=dropped,
-            )
-
-        result = CampaignResult(
-            config=self.config,
-            machine_name=self.machine.name,
-            activity_label=label,
-            measurements=measurements,
-            robustness=robustness,
-        )
-        record_campaign_ledger(
-            telemetry, measurements, robustness, resumed=self.resumed_indices
-        )
-        usable = len(result.included_measurements)
-        if usable < self.min_good_captures:
-            raise DegradedCampaignError(
-                f"only {usable} usable capture(s) of {n} survived durable execution "
-                f"(minimum {self.min_good_captures})",
-                robustness=robustness,
-            )
-        return result.validate()
+        return journaled
 
     # ------------------------------------------------------------------
 

@@ -17,8 +17,10 @@ pure function of *what work ran*, never of time, thread ids, or
 ``random``. Two runs of the same seeded campaign therefore produce the
 same span ids regardless of worker count or scheduling, which is what
 lets a resumed run's trace be diffed against an uninterrupted one.
-Emission *order* under ``n_workers > 1`` still follows the scheduler;
-stable ids are what make the streams comparable anyway.
+Emission *order* under ``n_workers > 1`` still follows the scheduler (on
+the clean, fault-screened and durable capture routes alike, which share
+one thread pool per campaign); stable ids are what make the streams
+comparable anyway.
 """
 
 from __future__ import annotations

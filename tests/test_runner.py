@@ -10,6 +10,7 @@ uninterrupted run exactly.
 from __future__ import annotations
 
 import json
+import threading
 import time
 
 import numpy as np
@@ -499,3 +500,53 @@ class TestDurableWithFaultPlan:
         assert ours.retries == theirs.retries
         assert ours.excluded == theirs.excluded
         assert [e.fault for e in ours.events] == [e.fault for e in theirs.events]
+
+
+class OverlapFirstTwo(StubMachine):
+    """A machine whose first two scene builds must run at the same time."""
+
+    def __init__(self):
+        self._barrier = threading.Barrier(2, timeout=10)
+        self._lock = threading.Lock()
+        self._calls = 0
+
+    def scene(self, activity):
+        with self._lock:
+            call = self._calls
+            self._calls += 1
+        if call < 2:
+            self._barrier.wait()
+        return super().scene(activity)
+
+
+class TestDurableWorkers:
+    def test_captures_run_on_n_workers_threads(self, tmp_path):
+        campaign = durable(
+            tmp_path / "j", machine=OverlapFirstTwo(), config=make_config(n_workers=2)
+        )
+        result = campaign.run_with_activities(make_activities(), label="pair")
+        assert len(result.measurements) == 5
+
+    def test_worker_count_changes_neither_traces_nor_journal(self, tmp_path):
+        from repro.faults import FaultPlan
+
+        def run(n_workers):
+            journal_dir = tmp_path / f"j{n_workers}"
+            result = durable(
+                journal_dir,
+                config=make_config(n_workers=n_workers),
+                fault_plan=FaultPlan.default(),
+                seed=3,
+            ).run_with_activities(make_activities(), label="pair")
+            records = {
+                path.name: path.read_bytes() for path in journal_dir.glob("record-*.npz")
+            }
+            return result, records
+
+        (serial, serial_records), (threaded, threaded_records) = run(1), run(2)
+        assert serial.robustness.retries  # the plan forced re-captures
+        assert_same_result(threaded, serial)
+        assert threaded.robustness.events == serial.robustness.events
+        assert threaded.robustness.excluded == serial.robustness.excluded
+        assert threaded.robustness.retries == serial.robustness.retries
+        assert threaded_records == serial_records
