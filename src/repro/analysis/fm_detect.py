@@ -11,7 +11,6 @@ one frequency with varying amplitude (AM).
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as _signal
 
 from ..errors import DetectionError
 
@@ -26,7 +25,9 @@ def spectrogram_frequency_track(iq, sample_rate, nperseg=256, noverlap=None):
         raise DetectionError("need at least 4*nperseg IQ samples")
     if sample_rate <= 0:
         raise DetectionError("sample rate must be positive")
-    freqs, times, spec = _signal.spectrogram(
+    from scipy.signal import spectrogram
+
+    freqs, times, spec = spectrogram(
         iq,
         fs=sample_rate,
         nperseg=nperseg,

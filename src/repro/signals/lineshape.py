@@ -11,6 +11,17 @@ A :class:`LineShape` is a *normalized power density* around a line's center
 frequency. Rendering onto a discrete grid multiplies the density by the
 line's total power and by the bin width, then renormalizes over the rendering
 window so total power is conserved exactly on the grid (tests rely on this).
+
+Deposit vs render. :meth:`LineShape.deposit` adds a line into a caller's
+accumulator over its rendering window only; :meth:`LineShape.render` is a
+zeroed grid plus one ``deposit``, for callers that want the line on its
+own. An emitter sums hundreds of lines per scene, so it deposits: that
+skips a full-grid temporary and a full-grid add per line and yields the
+same bits, because every bin outside the window would only have gained
+``+ 0.0`` and the lines still land in the same order. Sums *between*
+separately rendered arrays (a station's carrier plus its audio, the
+environment's per-source totals) stay as they are: folding them into one
+accumulator would reorder float adds and change the bytes.
 """
 
 from __future__ import annotations
@@ -54,8 +65,19 @@ class LineShape:
         sorted ascending.
         """
         out = np.zeros_like(frequencies, dtype=float)
+        self.deposit(out, frequencies, center, power)
+        return out
+
+    def deposit(self, out, frequencies, center, power):
+        """Add this line's per-bin powers into ``out`` in place.
+
+        Touches only the bins of the rendering window (or the single
+        nearest bin when the window is narrower than one bin), so the
+        result is bit-identical to ``out + self.render(...)`` without the
+        full-grid temporary: every other bin would have gained ``+ 0.0``.
+        """
         if power <= 0:
-            return out
+            return
         lo = np.searchsorted(frequencies, center - self.halfwidth, side="left")
         hi = np.searchsorted(frequencies, center + self.halfwidth, side="right")
         if hi <= lo:
@@ -70,15 +92,14 @@ class LineShape:
             if 0 <= idx < len(frequencies) and abs(frequencies[idx] - center) <= max(
                 self.halfwidth, _grid_step(frequencies)
             ):
-                out[idx] = power
-            return out
+                out[idx] += power
+            return
         window = frequencies[lo:hi]
         weights = self.density(window - center)
         total = weights.sum()
         if total <= 0:
-            return out
-        out[lo:hi] = power * weights / total
-        return out
+            return
+        out[lo:hi] += power * weights / total
 
 
 def _grid_step(frequencies):

@@ -113,6 +113,7 @@ class Emitter:
     def render(self, grid, activity):
         """Mean per-bin power (mW) this emitter contributes to the grid."""
         power = np.zeros(grid.n_bins, dtype=float)
+        frequencies = grid.frequencies
         unit = self.amplitude_unit()
         level_x, level_y = self.activity_levels(activity)
         max_offset = self.n_sideband_harmonics * activity.falt
@@ -140,7 +141,7 @@ class Emitter:
                 line_shape = (
                     shape.broadened(line.extra_width) if line.extra_width > 0 else shape
                 )
-                power += line_shape.render(grid.frequencies, center + line.offset, line.power)
+                line_shape.deposit(power, frequencies, center + line.offset, line.power)
         return power
 
     def carrier_frequencies(self, up_to=None):

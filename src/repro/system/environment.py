@@ -11,6 +11,13 @@ Environment sources are *static*: their mean spectrum is the same in every
 capture regardless of what the micro-benchmark does. (The per-capture
 fluctuations come from the analyzer's estimation-noise model.) That
 stationarity is exactly the property Eq. 2 normalizes away.
+
+The same stationarity makes the rendered mean spectrum cacheable:
+:class:`RFEnvironment` renders it once per grid and hands every later
+scene the same read-only array (a campaign's falts, both op pairs, and a
+mitigated machine sharing the environment all hit the cache). Each
+scene adds that array into its own accumulator, so the bytes are those
+of a fresh render; only the repeated synthesis is gone.
 """
 
 from __future__ import annotations
@@ -115,18 +122,41 @@ class SpuriousToneField(EnvironmentSource):
         power = np.zeros(grid.n_bins, dtype=float)
         shape = DeltaLine()
         for frequency, tone_power in zip(self.frequencies, self.powers_mw):
-            power += shape.render(grid.frequencies, frequency, tone_power)
+            shape.deposit(power, grid.frequencies, frequency, tone_power)
         return power
 
 
 class RFEnvironment(EnvironmentSource):
-    """Aggregate of environment sources plus the noise landscape."""
+    """Aggregate of environment sources plus the noise landscape.
+
+    :meth:`mean_power` is cached per grid: the environment is static, so
+    every scene of every activity on one grid would render the same
+    array. The sources and noise are fixed at construction (nothing
+    reassigns them afterwards), which is what makes the cache safe.
+    """
 
     def __init__(self, sources=(), noise=None):
         self.sources = list(sources)
         self.noise = noise
+        self._cache = {}
 
     def mean_power(self, grid):
+        """Mean per-bin power (mW), rendered once per grid and read-only.
+
+        The cache key is the exact ``(start, resolution, n_bins)`` that
+        fixes the grid's bin frequencies, so a hit returns the very bytes
+        a fresh render would. The array is shared between callers, hence
+        read-only: add it into an accumulator rather than modifying it.
+        """
+        key = (grid.start, grid.resolution, grid.n_bins)
+        power = self._cache.get(key)
+        if power is None:
+            power = self._render(grid)
+            power.flags.writeable = False
+            self._cache[key] = power
+        return power
+
+    def _render(self, grid):
         power = np.zeros(grid.n_bins, dtype=float)
         for source in self.sources:
             power += source.mean_power(grid)

@@ -7,6 +7,15 @@ environment, and the receiver chain. Given an
 the object a :class:`~repro.spectrum.analyzer.SpectrumAnalyzer` captures —
 whose mean per-bin power is cached per grid because campaigns capture the
 same scene several times (the paper averages 4 sweeps per falt).
+
+Two caches sit behind a scene. The scene's own cache is per activity: it
+holds the emitters' lines plus the environment, and a new activity (the
+next falt) starts a new scene. The environment's cache is per machine:
+:meth:`~repro.system.environment.RFEnvironment.mean_power` does not
+depend on activity, so it is rendered once per grid and returned
+read-only. A scene adds it into its own freshly allocated accumulator
+after the emitters, in the same order as an uncached render, so caching
+changes no byte of ``mean_bin_power``.
 """
 
 from __future__ import annotations

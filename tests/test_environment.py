@@ -1,5 +1,8 @@
 """RF environment: radio stations, spurs, metropolitan preset."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -140,6 +143,58 @@ class TestRFEnvironment:
         # sources anywhere (the 1/f rise legitimately dominates near DC)
         tail = power[GRID.index_of(100e3) :]
         assert tail.max() < 100 * np.median(tail)
+
+    def test_mean_power_is_cached_read_only_per_grid(self):
+        env = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        first = env.mean_power(GRID)
+        again = env.mean_power(FrequencyGrid(0.0, 2e6, 50.0))  # equal grid, new object
+        assert again is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 1.0
+
+    def test_cached_bytes_equal_an_uncached_render(self):
+        env = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        fresh = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        env.mean_power(GRID)
+        cached = env.mean_power(GRID)
+        assert cached.tobytes() == fresh.mean_power(GRID).tobytes()
+
+    def test_each_grid_gets_its_own_entry(self):
+        env = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        coarse = FrequencyGrid(0.0, 2e6, 100.0)
+        fine = env.mean_power(GRID)
+        wide = env.mean_power(coarse)
+        assert wide.shape == (coarse.n_bins,) and fine.shape == (GRID.n_bins,)
+        assert env.mean_power(GRID) is fine
+        assert env.mean_power(coarse) is wide
+        uncached = RFEnvironment.metropolitan(2e6, rng=np.random.default_rng(0))
+        assert wide.tobytes() == uncached.mean_power(coarse).tobytes()
+
+    def test_cache_under_concurrent_scenes(self):
+        """Parallel captures render scenes on threads that share one
+        environment: every caller must get the uncached bytes, read-only."""
+        grids = [FrequencyGrid(0.0, 2e5, fres) for fres in (50.0, 100.0, 200.0)]
+        reference = RFEnvironment.metropolitan(2e5, rng=np.random.default_rng(0))
+        expected = [reference.mean_power(grid).tobytes() for grid in grids]
+        env = RFEnvironment.metropolitan(2e5, rng=np.random.default_rng(0))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(lambda k: (k, env.mean_power(grids[k])), i % 3)
+                    for i in range(48)
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 48
+        for k, power in results:
+            assert not power.flags.writeable
+            assert power.tobytes() == expected[k]
+        for k, grid in enumerate(grids):
+            assert env.mean_power(grid) is env.mean_power(grid)
 
     def test_metropolitan_span_below_every_band(self):
         """A span under the long-wave band (60 kHz) skips stations and

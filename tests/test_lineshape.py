@@ -132,3 +132,58 @@ class TestRenderEdgeCases:
     def test_zero_power_renders_zero(self):
         out = GaussianLine(500.0).render(GRID, 100e3, 0.0)
         assert out.sum() == 0.0
+
+
+SHAPES = {
+    "delta": DeltaLine(),
+    "gaussian": GaussianLine(500.0),
+    "narrow-gaussian": GaussianLine(2.0),  # 10 Hz window: nearest-bin path
+    "lorentzian": LorentzianLine(300.0),
+    "spread-sinusoidal": SpreadSpectrumLine(20e3, edge_sigma=200.0),
+    "spread-triangular": SpreadSpectrumLine(20e3, edge_sigma=200.0, profile="triangular"),
+}
+
+#: (center, power) cases: on a bin, between bins, near and past both grid
+#: edges, and the non-positive powers that deposit nothing.
+DEPOSITS = [
+    (100e3, 2.5),
+    (100.020e3, 1.0),
+    (100.025e3, 1.0),
+    (200.0, 0.7),
+    (GRID[-1] + 10.0, 0.3),
+    (199.9e3 + 40.0, 0.3),
+    (-5e3, 1.0),
+    (300e3, 1.0),
+    (100e3, 0.0),
+    (100e3, -1.0),
+]
+
+
+class TestDeposit:
+    """``deposit`` into an accumulator is bit-identical to ``acc + render``."""
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    @pytest.mark.parametrize("center,power", DEPOSITS)
+    def test_matches_render_into_nonzero_accumulator(self, name, center, power):
+        shape = SHAPES[name]
+        acc = np.random.default_rng(11).uniform(1e-15, 1e-9, size=GRID.size)
+        expected = acc + shape.render(GRID, center, power)
+        shape.deposit(acc, GRID, center, power)
+        assert acc.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_successive_lines_match_summed_renders(self, name):
+        shape = SHAPES[name]
+        lines = [(60e3, 1.0), (60.05e3, 0.5), (61e3, 2.0), (150.01e3, 0.25)]
+        expected = np.zeros(GRID.size)
+        acc = np.zeros(GRID.size)
+        for center, power in lines:
+            expected += shape.render(GRID, center, power)
+            shape.deposit(acc, GRID, center, power)
+        assert acc.tobytes() == expected.tobytes()
+
+    def test_narrow_window_takes_the_nearest_bin(self):
+        acc = np.zeros(GRID.size)
+        GaussianLine(2.0).deposit(acc, GRID, 100.020e3, 1.5)
+        assert np.count_nonzero(acc) == 1
+        assert acc[np.searchsorted(GRID, 100.0e3)] == 1.5
