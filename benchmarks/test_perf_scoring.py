@@ -6,11 +6,14 @@ ten harmonics plus ``CarrierDetector.detect`` — on the paper's 0-4 MHz /
 per-trace ``np.interp`` reference path and once through the vectorized
 ``ShiftedPowerCache`` engine. Emits a machine-readable
 ``BENCH_scoring.json`` and asserts the engine is at least 3x faster while
-producing ``np.allclose``-identical scores and identical detections.
+producing ``np.allclose``-identical scores and identical detections. The
+record also carries the engine's ``tracemalloc`` peak for one
+``all_scores`` call, the allocation high-water mark of streamed scoring.
 """
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -54,6 +57,13 @@ def test_scoring_engine_speedup(i7_ldm_result, output_dir):
     ]
     assert len(fast_detections) >= 10
 
+    tracemalloc.start()
+    try:
+        fast_scorer.all_scores(result)
+        _, fast_scores_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
     reference_total = reference_scores_s + reference_detect_s
     fast_total = fast_scores_s + fast_detect_s
     speedup = reference_total / fast_total
@@ -70,6 +80,7 @@ def test_scoring_engine_speedup(i7_ldm_result, output_dir):
         },
         "vectorized": {
             "all_scores_s": fast_scores_s,
+            "all_scores_peak_mb": fast_scores_peak / 1e6,
             "detect_s": fast_detect_s,
             "total_s": fast_total,
         },

@@ -40,6 +40,19 @@ from ..units import format_frequency, milliwatts_to_dbm
 from .heuristic import HeuristicScorer
 
 
+def _window_backgrounds(segments):
+    """25th-percentile power of each movement-search window.
+
+    A low quantile, because a window may hold broad structure (e.g. a
+    spread-spectrum pedestal) that would inflate a median. Equal-length
+    windows (all but those at the grid edges) share one ``np.percentile``
+    call, which gives the same values as one call per window.
+    """
+    if len({len(segment) for segment in segments}) == 1:
+        return np.percentile(np.stack(segments), 25.0, axis=1)
+    return [np.percentile(segment, 25.0) for segment in segments]
+
+
 @dataclass(frozen=True)
 class CarrierDetection:
     """One detected activity-modulated carrier.
@@ -305,8 +318,7 @@ class CarrierDetector:
         # The shared cache's stacked power matrix serves the window reads;
         # without one (reference-mode scorer) fall back to the traces.
         power_rows = cache.power if cache is not None else None
-        positions = []
-        falts = []
+        windows = []
         for row, measurement in enumerate(result.measurements):
             target = frequency + harmonic * measurement.falt
             if not grid.contains(target):
@@ -318,15 +330,17 @@ class CarrierDetector:
                 segment = power_rows[row, lo:hi]
             else:
                 segment = measurement.trace.power_mw[lo:hi]
+            windows.append((lo, segment, measurement.falt))
+        backgrounds = _window_backgrounds([segment for _, segment, _ in windows])
+        positions = []
+        falts = []
+        for (lo, segment, falt), background in zip(windows, backgrounds):
             peak_offset = int(np.argmax(segment))
-            # Background from a low quantile: the window may legitimately
-            # contain broad structure (e.g. a spread-spectrum pedestal) on
-            # top of the floor, which would inflate a median estimate.
-            background = float(np.percentile(segment, 25.0))
+            background = float(background)
             if background > 0 and segment[peak_offset] < prominence_ratio * background:
                 continue  # obscured or absent side-band: skip, don't invent
             positions.append(grid.frequency_at(lo + peak_offset))
-            falts.append(measurement.falt)
+            falts.append(falt)
         if len(positions) < min_prominent:
             return None
         falts = np.asarray(falts)

@@ -23,12 +23,12 @@ Spectra are combined in *linear power* — the ratio of Eq. 2 is a power
 ratio, and the figures' dBm axes are display-only.
 
 Two implementations compute the same numbers: the default vectorized
-pipeline batches every shift through a shared
-:class:`~repro.core.scoring.ShiftedPowerCache` and evaluates all
-harmonics as one ``(H, N, n_bins)`` array (log-space accumulation
-preserved); ``HeuristicScorer(vectorized=False)`` keeps the naive
-per-trace ``np.interp`` path as the reference implementation for tests
-and benchmarks.
+pipeline interpolates every sub-score through a shared
+:class:`~repro.core.scoring.ShiftedPowerCache` and folds it straight into
+one accumulator per harmonic (log-space accumulation preserved);
+``HeuristicScorer(vectorized=False)`` keeps the naive per-trace
+``np.interp`` path as the reference implementation for tests and
+benchmarks.
 """
 
 from __future__ import annotations
@@ -84,34 +84,51 @@ class HeuristicScorer:
             return self._subscores_reference(traces, falts, harmonic)
         if cache is None:
             cache = ShiftedPowerCache(traces)
-        return self._subscores_vectorized(cache, falts, harmonic)
-
-    def _subscores_vectorized(self, cache, falts, harmonic, out=None, scratch=None):
-        n = cache.n_traces
-        floor = self.power_floor
-        subs = out if out is not None else np.empty((n, cache.n_bins), dtype=float)
-        denom = scratch if scratch is not None else np.empty(cache.n_bins, dtype=float)
-        inv_others = 1.0 / (n - 1)
+        subs = np.empty((cache.n_traces, cache.n_bins), dtype=float)
+        denom = np.empty(cache.n_bins, dtype=float)
         for i, falt in enumerate(falts):
-            shift = harmonic * falt
-            # Numerator: one row interpolation, floored straight into the
-            # output row; denominator: one interpolation of the
-            # precomputed floored total (linearity of the interpolation)
-            # minus that row. The working set per sub-score is a handful
-            # of grid-length vectors, not an (N, n_bins) matrix per shift.
-            sub = subs[i]
-            np.maximum(cache.shifted_row(i, shift), floor, out=sub)
-            np.subtract(cache.shifted_total(shift, floor), sub, out=denom)
-            denom *= inv_others
-            np.maximum(denom, floor, out=denom)
-            np.divide(sub, denom, out=sub)
-            np.clip(sub, 1.0 / self.clip_subscore, self.clip_subscore, out=sub)
-            # Bins whose shifted position has no measured data sit outside
-            # one contiguous in-span run; force both flanks to 1.
-            valid_lo, valid_hi = cache.valid_range(shift)
-            sub[:valid_lo] = 1.0
-            sub[valid_hi:] = 1.0
+            self._subscore(cache, i, harmonic * falt, subs[i], denom)
         return subs
+
+    def _subscore(self, cache, index, shift, sub, denom):
+        """Sub-score F_{i,h} of trace ``index`` at ``shift``, written into ``sub``.
+
+        ``denom`` is a grid-length scratch buffer: the floored total at
+        ``shift`` minus row ``index``, averaged over the other N-1 traces.
+        """
+        floor = self.power_floor
+        shift = float(shift)
+        cache.interpolate_into(index, shift, floor, sub, denom)
+        np.maximum(sub, floor, out=sub)
+        np.subtract(denom, sub, out=denom)
+        denom *= 1.0 / (cache.n_traces - 1)
+        np.maximum(denom, floor, out=denom)
+        np.divide(sub, denom, out=sub)
+        np.clip(sub, 1.0 / self.clip_subscore, self.clip_subscore, out=sub)
+        # Bins whose shifted position has no measured data sit outside
+        # one contiguous in-span run; force both flanks to 1.
+        valid_lo, valid_hi = cache.valid_range(shift)
+        sub[:valid_lo] = 1.0
+        sub[valid_hi:] = 1.0
+        return sub
+
+    def _streamed_score(self, cache, falts, harmonic):
+        """F_h (Eq. 1) with each sub-score folded into one accumulator.
+
+        Multiplies (or, on the log path, adds the logs of) the rows in
+        falt order — the same sequential reduction ``np.prod(stack,
+        axis=0)`` and ``np.sum(np.log(stack), axis=0)`` perform over a
+        non-contiguous axis, so the bytes match :meth:`_accumulate`.
+        """
+        log_path = self._log_path(len(falts))
+        acc, sub, denom = (np.empty(cache.n_bins, dtype=float) for _ in range(3))
+        for i, falt in enumerate(falts):
+            row = self._subscore(cache, i, harmonic * falt, sub if i else acc, denom)
+            if log_path:
+                np.log(row, out=row)
+            if i:
+                (np.add if log_path else np.multiply)(acc, row, out=acc)
+        return np.exp(acc, out=acc) if log_path else acc
 
     def _subscores_reference(self, traces, falts, harmonic):
         """The naive path: one ``np.interp`` per trace per shift."""
@@ -139,10 +156,11 @@ class HeuristicScorer:
     def all_scores(self, result, cache=None):
         """{harmonic: F_h array} for every configured harmonic.
 
-        The vectorized path stacks every harmonic's sub-scores into one
-        ``(H, N, n_bins)`` array and reduces it with a single log-space
-        accumulation; pass ``cache`` to share shifted-power evaluations
-        with other consumers (the detector's movement verification).
+        The vectorized path streams each harmonic into one accumulator
+        and memoizes the finished ``F_h`` on the cache (read-only arrays),
+        so a second call with the same ``cache`` and parameters is served
+        from the memo; pass ``cache`` to share it with other consumers
+        (the detector reads its stacked power matrix).
 
         A degraded result (screen-flagged captures) is scored through its
         leave-one-out view: the flagged falt indices are excluded and the
@@ -167,19 +185,18 @@ class HeuristicScorer:
             owns_cache = cache is None
             if owns_cache:
                 cache = ShiftedPowerCache.from_result(result)
-            stack = np.empty((len(harmonics), cache.n_traces, cache.n_bins), dtype=float)
-            scratch = np.empty(cache.n_bins, dtype=float)
-            for k, h in enumerate(harmonics):
-                self._subscores_vectorized(
-                    cache, result.falts, h, out=stack[k], scratch=scratch
-                )
-            scores = self._accumulate(stack, axis=1)
+            falts = result.falts
+            key = (tuple(map(float, falts)), self.power_floor, self.clip_subscore)
+            scores = {
+                h: cache.score((h, *key), lambda h=h: self._streamed_score(cache, falts, h))
+                for h in harmonics
+            }
             if owns_cache:
                 # Whoever builds the cache flushes its counters; a shared
                 # cache is flushed by its owner (the detector) instead.
                 telemetry.count("scoring_cache_hits", cache.hits)
                 telemetry.count("scoring_cache_misses", cache.misses)
-            return {h: scores[k] for k, h in enumerate(harmonics)}
+            return scores
 
     def scores_excluding(self, result, exclude_index, cache=None):
         """Leave-one-out scores: falt index ``exclude_index`` held out.
@@ -210,8 +227,8 @@ class HeuristicScorer:
             )
         return self.all_scores(subset, cache=sub_cache)
 
-    def _accumulate(self, subs, axis=0):
-        """Eq. 1 product across traces, guarded against overflow.
+    def _log_path(self, n):
+        """Whether an N-factor Eq. 1 product must accumulate in log space.
 
         Each factor is clipped to ``[1/clip, clip]``, so the product of N
         sub-scores is bounded by ``clip**N``; when that provably fits in
@@ -219,10 +236,13 @@ class HeuristicScorer:
         Otherwise accumulation happens in log space, which is safe for
         any N at the cost of a transcendental per element.
         """
-        n = subs.shape[axis]
-        if n * np.log10(self.clip_subscore) < 250.0:
-            return np.prod(subs, axis=axis)
-        return np.exp(np.sum(np.log(subs), axis=axis))
+        return n * np.log10(self.clip_subscore) >= 250.0
+
+    def _accumulate(self, subs):
+        """Eq. 1 over an ``(N, n_bins)`` sub-score stack."""
+        if self._log_path(subs.shape[0]):
+            return np.exp(np.sum(np.log(subs), axis=0))
+        return np.prod(subs, axis=0)
 
     def combined_score(self, result, scores=None, cache=None):
         """Evidence fused across harmonics: sum of positive log10 scores.

@@ -2,22 +2,19 @@
 
 The Eq. 1/2 scorer is the hot path of every campaign: a full-span survey
 evaluates every spectrum at every shifted position ``f + h * falt_i`` —
-N traces x H harmonics x N falts interpolations over grids of up to
-hundreds of thousands of bins. :class:`ShiftedPowerCache` makes that
-cheap twice over:
-
-* **batched interpolation** — all N traces are stacked into one
-  ``(N, n_bins)`` power matrix, and a shift is applied to every trace at
-  once. Because the grid is uniform, ``f + shift`` lands at the same
-  fractional bin offset for every bin, so the interpolation collapses to
-  two gathers and one weighted sum instead of a per-trace binary-search
-  ``np.interp``;
-* **memoization** — shifted matrices are cached per shift, so the H x N
-  score pipeline, the z-score fusion, and the detector's
-  movement-verification pass never evaluate the same shift twice.
+H harmonics x N falts sub-scores over grids of up to hundreds of
+thousands of bins. :class:`ShiftedPowerCache` stacks the N traces into
+one ``(N, n_bins)`` power matrix and exploits the uniform grid: ``f +
+shift`` lands at the same fractional bin offset for every bin, so the
+interpolation collapses to two contiguous slices blended by one scalar
+weight instead of a per-trace binary-search ``np.interp``. It writes into
+caller-owned buffers, so the scorer streams each sub-score through two
+reused vectors; what it memoizes is what is reused — each harmonic's
+finished ``F_h``.
 
 The cache is shared by :class:`~repro.core.heuristic.HeuristicScorer` and
-:class:`~repro.core.detect.CarrierDetector`; the naive per-trace
+:class:`~repro.core.detect.CarrierDetector` (whose movement verification
+reads windows of the stacked power matrix); the naive per-trace
 ``np.interp`` path survives as the reference implementation
 (``HeuristicScorer(vectorized=False)``) that tests and benchmarks compare
 against.
@@ -64,16 +61,14 @@ def shift_valid_mask(grid, shift):
 
 
 class ShiftedPowerCache:
-    """Batched, memoized ``SP_i(f + shift)`` evaluation for one campaign.
+    """Batched ``SP_i(f + shift)`` evaluation and score memo for one campaign.
 
-    Stacks the campaign's traces into a ``(N, n_bins)`` power matrix and
-    evaluates each requested shift for *all* traces in one vectorized
-    pass, caching the result so repeated shifts (the same ``h * falt_i``
-    appears in every sub-score row and again in detection) are free.
-
-    ``max_entries`` bounds the memo (LRU eviction); the default ``None``
-    keeps every shift, which for a paper campaign (10 harmonics x 5
-    falts) is 50 matrices.
+    :meth:`interpolate_into` is the scorer's per-``(h, i)`` interpolation;
+    :meth:`score` memoizes each harmonic's ``F_h``. ``hits``/``misses``
+    count lookups in both memos (for the scorer: one per harmonic).
+    :meth:`shifted_all` evaluates one shift for all traces and memoizes
+    the matrix; ``max_entries`` bounds that memo (LRU eviction), the
+    default ``None`` keeps every shift.
     """
 
     def __init__(self, traces, max_entries=None):
@@ -86,14 +81,15 @@ class ShiftedPowerCache:
                 raise DetectionError("traces must share one grid")
         if max_entries is not None and max_entries < 1:
             raise DetectionError("max_entries must be >= 1 (or None)")
+        power = np.ascontiguousarray(np.vstack([trace.power_mw for trace in traces]))
+        self._setup(grid, power, max_entries)
+
+    def _setup(self, grid, power, max_entries):
         self.grid = grid
-        self.power = np.ascontiguousarray(
-            np.vstack([trace.power_mw for trace in traces])
-        )
+        self.power = power
         self.max_entries = max_entries
         self._shifted = OrderedDict()
-        self._rows = {}
-        self._totals = {}
+        self._scores = {}
         self._floored_sums = {}
         self._ranges = {}
         self._masks = {}
@@ -111,10 +107,8 @@ class ShiftedPowerCache:
         The degraded pipeline scores leave-one-out views (a flagged falt
         index excluded, Eq. 2 renormalized over the rest); subsetting
         reuses the already-stacked power matrix instead of restacking
-        the surviving traces. Memoized shifts are *not* carried over —
-        a shifted matrix of the full stack cannot be row-sliced into the
-        child without pinning its memory, and the child's shift set
-        differs anyway (different falts survive).
+        the surviving traces. Memos are *not* carried over: the child's
+        scores and totals cover different traces.
         """
         indices = [int(i) for i in indices]
         if len(indices) < 2:
@@ -125,17 +119,7 @@ class ShiftedPowerCache:
             if not 0 <= i < self.n_traces:
                 raise DetectionError(f"trace index {i} outside 0..{self.n_traces - 1}")
         clone = object.__new__(type(self))
-        clone.grid = self.grid
-        clone.power = np.ascontiguousarray(self.power[indices])
-        clone.max_entries = self.max_entries
-        clone._shifted = OrderedDict()
-        clone._rows = {}
-        clone._totals = {}
-        clone._floored_sums = {}
-        clone._ranges = {}
-        clone._masks = {}
-        clone.hits = 0
-        clone.misses = 0
+        clone._setup(self.grid, np.ascontiguousarray(self.power[indices]), self.max_entries)
         return clone
 
     @property
@@ -163,7 +147,7 @@ class ShiftedPowerCache:
             self.hits += 1
             return cached
         self.misses += 1
-        matrix = self._interpolate(key)
+        matrix = self._shift_matrix(self.power, key)
         matrix.flags.writeable = False
         self._shifted[key] = matrix
         if self.max_entries is not None and len(self._shifted) > self.max_entries:
@@ -174,34 +158,9 @@ class ShiftedPowerCache:
         """One trace's shifted power: ``SP_index(f + shift)`` over the grid."""
         return self.shifted_all(shift)[index]
 
-    def shifted_row(self, index, shift):
-        """Like :meth:`shifted`, but never materializes the full matrix.
-
-        The Eq. 2 numerator only ever reads trace ``i`` at shift
-        ``h * falt_i``, so interpolating one row keeps the working set a
-        single grid-length vector (cache-resident) instead of an
-        ``(N, n_bins)`` matrix per shift. Falls through to an already
-        cached full matrix when one exists.
-        """
-        shift = float(shift)
-        full = self._shifted.get(shift)
-        if full is not None:
-            self._shifted.move_to_end(shift)
-            self.hits += 1
-            return full[index]
-        key = (int(index), shift)
-        row = self._rows.get(key)
-        if row is not None:
-            self.hits += 1
-            return row
-        self.misses += 1
-        row = self._shift_matrix(self.power[index : index + 1], shift)[0]
-        row.flags.writeable = False
-        self._rows[key] = row
-        return row
-
-    def shifted_total(self, shift, floor=0.0):
-        """``sum_j max(SP_j, floor)`` evaluated at ``f + shift``.
+    def interpolate_into(self, index, shift, floor, row, total):
+        """Write ``SP_index(f + shift)`` into ``row`` and ``sum_j max(SP_j, floor)``
+        at ``f + shift`` into ``total`` (both grid-length buffers).
 
         Linear interpolation commutes with the sum over traces, so the
         Eq. 2 denominator needs one interpolation of a precomputed
@@ -212,23 +171,31 @@ class ShiftedPowerCache:
         ~7 decades below any physical noise floor, so in practice it only
         binds on all-zero synthetic traces, where both orderings agree).
         """
-        shift = float(shift)
         floor = float(floor)
-        key = (shift, floor)
-        total = self._totals.get(key)
-        if total is not None:
-            self.hits += 1
-            return total
-        self.misses += 1
         base = self._floored_sums.get(floor)
         if base is None:
             floored = np.maximum(self.power, floor) if floor > 0.0 else self.power
             base = np.ascontiguousarray(floored.sum(axis=0))
             self._floored_sums[floor] = base
-        total = self._shift_matrix(base[None, :], shift)[0]
-        total.flags.writeable = False
-        self._totals[key] = total
-        return total
+        self._shift_matrix(self.power[index : index + 1], shift, out=row[None])
+        self._shift_matrix(base[None], shift, out=total[None])
+
+    def score(self, key, compute):
+        """Memoized harmonic score ``F_h``: ``compute()`` runs on a miss.
+
+        ``key`` names everything the score depends on besides this
+        cache's traces (the scorer uses ``(harmonic, falts, power_floor,
+        clip_subscore)``). The stored array is read-only and shared.
+        """
+        score = self._scores.get(key)
+        if score is not None:
+            self.hits += 1
+            return score
+        self.misses += 1
+        score = compute()
+        score.flags.writeable = False
+        self._scores[key] = score
+        return score
 
     def valid_range(self, shift):
         """Memoized :func:`shift_valid_range` for this cache's grid."""
@@ -251,24 +218,22 @@ class ShiftedPowerCache:
 
     # ------------------------------------------------------------------
 
-    def _interpolate(self, shift):
-        """Uniform-grid linear interpolation of all traces at one shift."""
-        return self._shift_matrix(self.power, shift)
-
-    def _shift_matrix(self, power, shift):
+    def _shift_matrix(self, power, shift, out=None):
         """Slice-blend interpolation of ``power`` rows at one shift.
 
         On a uniform grid ``f_k + shift`` sits at bin position
         ``k + shift/fres`` — a *constant* offset — so the interpolation is
         two contiguous slices blended by one scalar weight (plus constant
         edge clamps), with no per-point search or index gathers at all.
-        ``power`` is any ``(M, n_bins)`` matrix over this cache's grid.
+        ``power`` is any ``(M, n_bins)`` matrix over this cache's grid;
+        ``out`` (same shape) receives the result when given.
         """
         n_bins = self.n_bins
         offset = shift / self.grid.resolution
         whole = int(np.floor(offset))
         frac = offset - whole
-        out = np.empty_like(power)
+        if out is None:
+            out = np.empty_like(power)
         # Columns k with 0 <= k+whole < n-1 interpolate between two real
         # bins; on the left of that range the shifted position is below
         # the span (clamp to the first bin), on the right at or past the

@@ -22,6 +22,7 @@ survives — the mechanism by which FASE correctly ignores FM carriers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,12 +62,24 @@ def _jitter_attenuation(order, jitter_fraction):
 
 def alternation_coefficients(n_harmonics, duty_cycle=0.5, jitter_fraction=0.0):
     """|c_k| for k = 1..n_harmonics of the jittered alternation waveform."""
+    return _alternation_coefficients(n_harmonics, duty_cycle, jitter_fraction).copy()
+
+
+@lru_cache(maxsize=256)
+def _alternation_coefficients(n_harmonics, duty_cycle, jitter_fraction):
+    """Memoized, read-only :func:`alternation_coefficients`.
+
+    Every emitter harmonic of every capture asks for the same few
+    ``(n_harmonics, duty_cycle, jitter_fraction)`` triples.
+    """
     if jitter_fraction < 0:
         raise UnitsError("jitter fraction must be non-negative")
     orders = np.arange(1, n_harmonics + 1)
     base = np.array([pulse_harmonic_amplitude(int(k), duty_cycle) for k in orders])
     atten = np.array([_jitter_attenuation(int(k), jitter_fraction) for k in orders])
-    return base * atten
+    coefficients = base * atten
+    coefficients.flags.writeable = False
+    return coefficients
 
 
 def am_sideband_lines(
@@ -102,7 +115,7 @@ def am_sideband_lines(
     lines = [SpectralLine(offset=0.0, power=power_scale * mean_amp * mean_amp, order=0)]
     if swing == 0.0 or n_harmonics == 0:
         return lines
-    coefficients = alternation_coefficients(n_harmonics, duty_cycle, jitter_fraction)
+    coefficients = _alternation_coefficients(n_harmonics, duty_cycle, jitter_fraction)
     for k, c_k in enumerate(coefficients, start=1):
         power = power_scale * (c_k * swing) ** 2
         if power <= 0:
