@@ -330,7 +330,6 @@ class MeasurementCampaign:
         self,
         activities,
         attempt,
-        restored=None,
         *,
         by_index=False,
         exhausted="dropped",
@@ -339,14 +338,11 @@ class MeasurementCampaign:
 
         ``attempt(index, attempt)`` returns ``(trace or None, events)``;
         ``None`` is a failed attempt (a fault-plan drop, a watchdog
-        timeout). ``restored`` maps an index to the ``(trace, attempts,
-        events)`` a resumed run already holds. Returns ``(measurements,
-        robustness)``:
+        timeout). Returns ``(measurements, robustness)``:
 
-        1. Each index without a trace is captured, a failed attempt retried
-           at once while ``config.max_capture_retries`` allows; an index
-           that fails every attempt is dropped ("capture {exhausted} on all
-           N attempt(s)").
+        1. Each index is captured, a failed attempt retried at once while
+           ``config.max_capture_retries`` allows; an index that fails every
+           attempt is dropped ("capture {exhausted} on all N attempt(s)").
         2. Under a fault plan the present traces are screened and each
            flagged capture with budget left goes through step 1's retry
            again, the reference recomputed every round. An exhausted
@@ -367,9 +363,7 @@ class MeasurementCampaign:
         n = len(activities)
         max_retries = self.config.max_capture_retries
         traces, attempts, index_events = [None] * n, [0] * n, [[] for _ in range(n)]
-        for index, (trace, tried, prior) in (restored or {}).items():
-            traces[index], attempts[index], index_events[index] = trace, tried, list(prior)
-        events = [event for per_index in index_events for event in per_index]
+        events = []
         excluded = {}
         screen = self.fault_plan.screen if self.fault_plan is not None else None
 
@@ -412,7 +406,7 @@ class MeasurementCampaign:
             else nullcontext()
         ) as pool:
             run = pool.map if pool is not None else map
-            capture([index for index in range(n) if traces[index] is None], run)
+            capture(list(range(n)), run)
             while screen is not None:
                 present = [index for index in range(n) if traces[index] is not None]
                 if len(present) < 2:

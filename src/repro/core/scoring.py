@@ -22,8 +22,6 @@ against.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from ..errors import DetectionError
@@ -64,14 +62,11 @@ class ShiftedPowerCache:
     """Batched ``SP_i(f + shift)`` evaluation and score memo for one campaign.
 
     :meth:`interpolate_into` is the scorer's per-``(h, i)`` interpolation;
-    :meth:`score` memoizes each harmonic's ``F_h``. ``hits``/``misses``
-    count lookups in both memos (for the scorer: one per harmonic).
-    :meth:`shifted_all` evaluates one shift for all traces and memoizes
-    the matrix; ``max_entries`` bounds that memo (LRU eviction), the
-    default ``None`` keeps every shift.
+    :meth:`score` memoizes each harmonic's ``F_h``; ``hits``/``misses``
+    count its lookups (one per harmonic).
     """
 
-    def __init__(self, traces, max_entries=None):
+    def __init__(self, traces):
         traces = list(traces)
         if len(traces) < 2:
             raise DetectionError("the scoring cache needs at least two traces")
@@ -79,27 +74,22 @@ class ShiftedPowerCache:
         for trace in traces:
             if trace.grid != grid:
                 raise DetectionError("traces must share one grid")
-        if max_entries is not None and max_entries < 1:
-            raise DetectionError("max_entries must be >= 1 (or None)")
         power = np.ascontiguousarray(np.vstack([trace.power_mw for trace in traces]))
-        self._setup(grid, power, max_entries)
+        self._setup(grid, power)
 
-    def _setup(self, grid, power, max_entries):
+    def _setup(self, grid, power):
         self.grid = grid
         self.power = power
-        self.max_entries = max_entries
-        self._shifted = OrderedDict()
         self._scores = {}
         self._floored_sums = {}
         self._ranges = {}
-        self._masks = {}
         self.hits = 0
         self.misses = 0
 
     @classmethod
-    def from_result(cls, result, max_entries=None):
+    def from_result(cls, result):
         """Build a cache over a :class:`CampaignResult`'s traces."""
-        return cls(result.traces, max_entries=max_entries)
+        return cls(result.traces)
 
     def subset(self, indices):
         """A new cache over a row-subset of this cache's traces.
@@ -119,7 +109,7 @@ class ShiftedPowerCache:
             if not 0 <= i < self.n_traces:
                 raise DetectionError(f"trace index {i} outside 0..{self.n_traces - 1}")
         clone = object.__new__(type(self))
-        clone._setup(self.grid, np.ascontiguousarray(self.power[indices]), self.max_entries)
+        clone._setup(self.grid, np.ascontiguousarray(self.power[indices]))
         return clone
 
     @property
@@ -131,32 +121,6 @@ class ShiftedPowerCache:
         return self.power.shape[1]
 
     # ------------------------------------------------------------------
-
-    def shifted_all(self, shift):
-        """``(N, n_bins)`` matrix of every trace evaluated at ``f + shift``.
-
-        Matches ``np.interp`` semantics (linear interpolation, edge-value
-        clamping outside the span) to within floating-point reordering.
-        The returned array is shared with the cache — treat it as
-        read-only.
-        """
-        key = float(shift)
-        cached = self._shifted.get(key)
-        if cached is not None:
-            self._shifted.move_to_end(key)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        matrix = self._shift_matrix(self.power, key)
-        matrix.flags.writeable = False
-        self._shifted[key] = matrix
-        if self.max_entries is not None and len(self._shifted) > self.max_entries:
-            self._shifted.popitem(last=False)
-        return matrix
-
-    def shifted(self, index, shift):
-        """One trace's shifted power: ``SP_index(f + shift)`` over the grid."""
-        return self.shifted_all(shift)[index]
 
     def interpolate_into(self, index, shift, floor, row, total):
         """Write ``SP_index(f + shift)`` into ``row`` and ``sum_j max(SP_j, floor)``
@@ -206,19 +170,9 @@ class ShiftedPowerCache:
             self._ranges[key] = bounds
         return bounds
 
-    def valid_mask(self, shift):
-        """Memoized :func:`shift_valid_mask` for this cache's grid."""
-        key = float(shift)
-        mask = self._masks.get(key)
-        if mask is None:
-            mask = shift_valid_mask(self.grid, key)
-            mask.flags.writeable = False
-            self._masks[key] = mask
-        return mask
-
     # ------------------------------------------------------------------
 
-    def _shift_matrix(self, power, shift, out=None):
+    def _shift_matrix(self, power, shift, out):
         """Slice-blend interpolation of ``power`` rows at one shift.
 
         On a uniform grid ``f_k + shift`` sits at bin position
@@ -226,14 +180,12 @@ class ShiftedPowerCache:
         two contiguous slices blended by one scalar weight (plus constant
         edge clamps), with no per-point search or index gathers at all.
         ``power`` is any ``(M, n_bins)`` matrix over this cache's grid;
-        ``out`` (same shape) receives the result when given.
+        ``out`` (same shape) receives the result.
         """
         n_bins = self.n_bins
         offset = shift / self.grid.resolution
         whole = int(np.floor(offset))
         frac = offset - whole
-        if out is None:
-            out = np.empty_like(power)
         # Columns k with 0 <= k+whole < n-1 interpolate between two real
         # bins; on the left of that range the shifted position is below
         # the span (clamp to the first bin), on the right at or past the
@@ -256,10 +208,9 @@ class ShiftedPowerCache:
                 np.subtract(right, left, out=interior)
                 interior *= frac
                 interior += left
-        return out
 
     def __repr__(self):
         return (
             f"ShiftedPowerCache({self.n_traces} traces x {self.n_bins} bins, "
-            f"{len(self._shifted)} shifts cached, {self.hits} hits)"
+            f"{len(self._scores)} scores cached, {self.hits} hits)"
         )

@@ -42,6 +42,7 @@ from .errors import CampaignArchiveError, CampaignError
 from .faults.injectors import FaultEvent
 from .faults.robustness import DetectionDelta, RobustnessReport
 from .faults.screening import CaptureQuality
+from .journalutil import fsync_directory
 from .spectrum.grid import FrequencyGrid
 from .spectrum.trace import SpectrumTrace
 from .uarch.activity import AlternationActivity
@@ -183,20 +184,6 @@ def _restore_grid(grid_data, config, path):
     return expected
 
 
-def _fsync_directory(directory):
-    """Flush a directory's metadata (a rename) to disk where supported."""
-    try:
-        fd = os.open(directory or ".", os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
-
-
 #: Fixed zip member timestamp (the DOS epoch) so identical campaigns
 #: produce identical archive bytes — resume correctness is asserted by
 #: byte-comparing archives, which real timestamps would defeat.
@@ -284,7 +271,7 @@ def save_campaign(result, path, compress=True):
                 os.unlink(tmp_path)
             except OSError:
                 pass
-    _fsync_directory(os.path.dirname(real_path))
+    fsync_directory(os.path.dirname(real_path))
     return Path(real_path)
 
 

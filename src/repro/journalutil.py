@@ -6,10 +6,10 @@ campaign journal (:mod:`repro.runner.journal`), the survey manifest
 (:mod:`repro.service.queue`). They share one durability discipline —
 this module is that discipline, extracted so the layers cannot drift:
 
-* **atomic header writes** (:func:`atomic_write`, re-exported from the
-  runner): tmp sibling + fsync + rename + directory fsync, so a kill at
-  any point leaves either the old bytes or the new bytes, never a torn
-  file under a valid name;
+* **atomic writes** (:func:`atomic_write`, with
+  :func:`fsync_directory`): tmp sibling + fsync + rename + directory
+  fsync, so a kill at any point leaves either the old bytes or the new
+  bytes, never a torn file under a valid name;
 * **checksummed lines** (:func:`checksum_record`, :func:`encode_line`,
   :func:`decode_line`): each appended line carries a SHA-256 over its
   payload, so the loader can tell a fully durable record from the
@@ -36,14 +36,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-
-# The one atomic-write primitive every journal layer shares; defined in
-# the runner (the first durable layer) and re-exported here so new
-# layers depend on this module alone.
-from .runner.journal import atomic_write
+from pathlib import Path
 
 __all__ = [
     "atomic_write",
+    "fsync_directory",
     "checksum_record",
     "encode_line",
     "decode_line",
@@ -52,6 +49,38 @@ __all__ = [
     "iter_journal",
     "read_complete_lines",
 ]
+
+
+def fsync_directory(directory):
+    """Flush a directory's metadata (a rename) to disk where supported."""
+    try:
+        fd = os.open(directory or ".", os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def atomic_write(path, data):
+    """Crash-safe write: tmp sibling, fsync, rename over, fsync the dir.
+
+    The one durability primitive every journal layer shares (campaign
+    headers and records, the survey manifest's header, the job store's
+    header): a kill at any point leaves either the old bytes or the new
+    bytes under the final name, never a torn file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fsync_directory(path.parent)
 
 
 def checksum_record(record):

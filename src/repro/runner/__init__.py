@@ -28,7 +28,6 @@ from .journal import (
     RECORD_FORMAT,
     CampaignJournal,
     JournalRecord,
-    atomic_write,
     campaign_fingerprint,
     journal_dirname,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "CaptureWatchdog",
     "DurableCampaign",
     "JournalRecord",
-    "atomic_write",
     "backoff_delay",
     "campaign_fingerprint",
     "journal_dirname",

@@ -6,8 +6,8 @@ practice:
 
 * **a crash or kill** — every completed capture is checkpointed to a
   :class:`~repro.runner.journal.CampaignJournal` the moment the analyzer
-  returns; rerunning the same campaign over the same journal resumes from
-  the last good capture of each index;
+  returns; rerunning the same campaign over the same journal replays the
+  attempts it holds and captures only the rest;
 * **a hung capture** — every attempt runs under a
   :class:`~repro.runner.watchdog.CaptureWatchdog` wall-clock deadline
   (``FaseConfig.capture_timeout_s``); a timed-out attempt is abandoned
@@ -28,14 +28,20 @@ the attempt step (backoff, watchdog, checkpoint) and the
 streams (``analyzer:{index}``), pure in (seed, index, attempt), so an
 uninterrupted durable run equals the clean ``n_workers > 1`` run, or
 under a fault plan the fault-screened one, except that its ledger groups
-events per index and says "failed" for an exhausted capture. A kill
-before the screening retries resumes byte-identically; a kill between
-two screening retries resumes by screening the cohort it left behind,
-which can differ from the uninterrupted run's.
+events per index and says "failed" for an exhausted capture.
+
+Resume is a replay: the resumed run runs the same loop from attempt 0,
+and its attempt step answers every ``(index, attempt)`` the journal
+holds a trace for with that trace and that attempt's events — no
+backoff, no watchdog, no append. A timed-out attempt, which depends on
+wall-clock time and so is not pure, replays as failed when a later
+record of its index ledgers the timeout. Every other attempt runs again.
+The screening rounds therefore see the same traces in the same order as
+the uninterrupted run, and a kill anywhere resumes byte-identically.
 
 Resume *references* checkpoints instead of copying them: journal records
-are written uncompressed (``ZIP_STORED``), so restoring a completed
-capture memory-maps its trace read-only straight out of the checkpoint
+are written uncompressed (``ZIP_STORED``), so replaying a journaled
+attempt memory-maps its trace read-only straight out of the checkpoint
 file (:func:`repro.io.mmap_npz_member`) — resuming a mostly-done
 campaign costs O(captures left to run), not O(bins already captured).
 """
@@ -92,7 +98,7 @@ class DurableCampaign(MeasurementCampaign):
         self.resume = bool(resume)
         self.min_good_captures = int(min_good_captures)
         self._sleep = sleep if sleep is not None else time.sleep
-        #: Capture indices restored from the journal by the last run.
+        #: Capture indices with a journaled record replayed by the last run.
         self.resumed_indices = ()
 
     def run_with_activities(self, activities, label=None):
@@ -103,11 +109,9 @@ class DurableCampaign(MeasurementCampaign):
         self._open_or_create_journal(activities, label)
         telemetry = current_telemetry()
         with telemetry.span("campaign", label=label, n_falts=len(activities), durable=True):
-            restored = self._restore(activities, grid)
             measurements, robustness = self._capture_loop(
                 activities,
-                self._journaled_attempt(activities, label, grid, restored),
-                restored,
+                self._journaled_attempt(activities, label, grid),
                 by_index=True,
                 exhausted="failed",
             )
@@ -129,46 +133,63 @@ class DurableCampaign(MeasurementCampaign):
             robustness=robustness,
         ).validate()
 
-    def _restore(self, activities, grid):
-        """``{index: (trace, attempt, events)}`` of the journaled captures.
+    def _replay(self, activities, grid):
+        """``{(index, attempt): (trace or None, events)}`` the journal answers.
 
-        A record whose falt disagrees with the planned activity is stale
+        Each valid record answers its own attempt with its trace and the
+        events of that attempt; a ``capture-timeout`` a record ledgers for
+        an earlier attempt of its index answers that attempt as failed. A
+        record whose falt disagrees with the planned activity is stale
         (the fingerprint guards against this, but a damaged header could
-        let one through) and is redone.
+        let one through) and is ignored. Sets :attr:`resumed_indices`.
         """
         telemetry = current_telemetry()
-        restored = {}
-        for index, record in sorted(self.journal.records(grid).items()):
+        answers, latest = {}, {}
+        for (index, attempt), record in sorted(self.journal.attempts(grid).items()):
             if index >= len(activities):
                 continue
             planned = activities[index].falt
             if abs(record.activity.falt - planned) > 1e-9 * max(abs(planned), 1.0):
                 continue
-            restored[index] = (record.trace, record.attempt, record.events)
+            for event in record.events:
+                if event.fault == TIMEOUT_FAULT:
+                    answers.setdefault((index, event.attempt), (None, (event,)))
+            answers[index, attempt] = (
+                record.trace,
+                tuple(event for event in record.events if event.attempt == attempt),
+            )
+            latest[index] = record
+        for index, record in latest.items():
             telemetry.event(
                 "capture-resumed",
                 index=index,
                 attempt=record.attempt,
                 n_journaled_events=len(record.events),
             )
-        self.resumed_indices = tuple(restored)
-        return restored
+        self.resumed_indices = tuple(latest)
+        return answers
 
-    def _journaled_attempt(self, activities, label, grid, restored):
-        """The loop's attempt step: backoff, watchdog, then checkpoint.
+    def _journaled_attempt(self, activities, label, grid):
+        """The loop's attempt step: replay, or backoff, watchdog, checkpoint.
 
-        Retry ``k`` of an index first sleeps ``backoff_delay(k)``; the
-        attempt then runs under the :class:`CaptureWatchdog`, a timed-out
-        attempt failing with a ``capture-timeout`` event; a trace that
-        lands is journaled at once with the index's cumulative events
-        (restored ones included), so a kill anywhere loses at most the
-        attempts in flight.
+        An attempt the journal answers (:meth:`_replay`) returns its
+        journaled outcome at once. Otherwise retry ``k`` of an index first
+        sleeps ``backoff_delay(k)``; the attempt then runs under the
+        :class:`CaptureWatchdog`, a timed-out attempt failing with a
+        ``capture-timeout`` event; a trace that lands is journaled at once
+        with the index's cumulative events (replayed ones included), so a
+        kill anywhere loses at most the attempts in flight.
         """
+        answers = self._replay(activities, grid)
         watchdog = CaptureWatchdog(self.config.capture_timeout_s)
         telemetry = current_telemetry()
-        history = {index: list(events) for index, (_, _, events) in restored.items()}
+        history = {}
 
         def journaled(index, attempt):
+            answer = answers.get((index, attempt))
+            if answer is not None:
+                history.setdefault(index, []).extend(answer[1])
+                return answer
             delay = backoff_delay(attempt, self.config.retry_backoff_s)
             if delay > 0:
                 self._sleep(delay)

@@ -3,8 +3,8 @@
 A real FASE survey records spectra over hours; losing the whole campaign
 to a crash at capture 4 of 5 wastes everything the run already earned.
 :class:`CampaignJournal` checkpoints each completed capture to its own
-record file as soon as the analyzer returns, so a killed run resumes from
-the last good capture instead of from scratch.
+record file as soon as the analyzer returns, so a killed run resumes
+without redoing any capture the journal already holds.
 
 Durability model
 ----------------
@@ -18,13 +18,16 @@ never a half-written record under a valid name; stray ``*.tmp`` files are
 simply ignored on resume.
 
 Records are append-only: a capture retry writes a *new* record file
-(``record-00003-a1.npz``) rather than mutating the old one, and resume
-takes the highest valid attempt per index. Every record carries the
-format marker and a SHA-256 checksum over its identity fields and trace
-bytes; a record that fails to load, fails its checksum, or disagrees with
-the campaign grid is skipped — its capture is simply redone, which is
-always safe because captures are pure functions of (seed, index,
-attempt).
+(``record-00003-a1.npz``) rather than mutating the old one, so the
+journal keeps every attempt that produced a trace, each with the index's
+cumulative fault/timeout events. Resume replays them
+(:meth:`CampaignJournal.attempts`); :meth:`CampaignJournal.records`, the
+highest valid attempt per index, is what recovery rebuilds an archive
+from. Every record carries the format marker and a SHA-256 checksum over
+its identity fields and trace bytes; a record that fails to load, fails
+its checksum, or disagrees with the campaign grid is skipped — its
+attempt is simply redone, which is always safe because captures are pure
+functions of (seed, index, attempt).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import io as _io
 import json
-import os
 import re
 import shutil
 from dataclasses import dataclass
@@ -47,10 +49,10 @@ from ..io import (
     _activity_to_dict,
     _config_from_dict,
     _config_to_dict,
-    _fsync_directory,
     _write_npz_deterministic,
     mmap_npz_member,
 )
+from ..journalutil import atomic_write
 from ..spectrum.trace import SpectrumTrace
 
 #: Format marker of the journal header, for forward compatibility.
@@ -85,28 +87,6 @@ CAPTURE_FIELDS = (
     "n_alternations",
     "n_averages",
 )
-_CAPTURE_FIELDS = CAPTURE_FIELDS
-
-
-def atomic_write(path, data):
-    """Crash-safe write: tmp sibling, fsync, rename over, fsync the dir.
-
-    The one durability primitive every journal layer shares (campaign
-    headers and records here, the survey manifest's header): a kill at
-    any point leaves either the old bytes or the new bytes under the
-    final name, never a torn file.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    _fsync_directory(path.parent)
-
-
-_atomic_write = atomic_write
 
 
 def campaign_fingerprint(config, machine_name, activity_label, rng):
@@ -121,7 +101,7 @@ def campaign_fingerprint(config, machine_name, activity_label, rng):
     config_dict = _config_to_dict(config)
     seed_seq = rng.bit_generator.seed_seq
     payload = {
-        "config": {name: config_dict[name] for name in _CAPTURE_FIELDS},
+        "config": {name: config_dict[name] for name in CAPTURE_FIELDS},
         "machine_name": machine_name,
         "activity_label": activity_label,
         "entropy": str(seed_seq.entropy),
@@ -157,8 +137,8 @@ class CampaignJournal:
     ``directory`` is created on :meth:`create`; :meth:`exists` reports
     whether a header is already present, :meth:`open` validates it
     (format marker, optional fingerprint match), :meth:`append`
-    checkpoints one capture, and :meth:`records` returns the best valid
-    record per capture index for resume.
+    checkpoints one capture, :meth:`attempts` returns every valid record
+    for resume to replay, and :meth:`records` the best one per index.
     """
 
     def __init__(self, directory):
@@ -187,7 +167,7 @@ class CampaignJournal:
             "activity_label": activity_label,
             "falts": [float(falt) for falt in falts],
         }
-        _atomic_write(
+        atomic_write(
             self.directory / _HEADER_NAME,
             json.dumps(header, indent=2, sort_keys=True).encode("utf-8"),
         )
@@ -262,17 +242,18 @@ class CampaignJournal:
             buffer, {"meta": json.dumps(meta), "power": trace.power_mw}, compress=False
         )
         name = f"record-{int(index):05d}-a{int(attempt)}.npz"
-        _atomic_write(self.directory / name, buffer.getvalue())
+        atomic_write(self.directory / name, buffer.getvalue())
 
-    def records(self, grid, mmap=True):
-        """{index: :class:`JournalRecord`} — best valid record per index.
+    def attempts(self, grid, mmap=True):
+        """{(index, attempt): :class:`JournalRecord`} — every valid record.
 
-        "Best" is the highest attempt whose record survives every check:
-        loadable archive, format marker, checksum, and a trace shaped for
-        ``grid``. Damaged or stale files are skipped silently — the
-        corresponding capture is simply redone on resume.
+        The one scan of the journal directory. A record counts when it
+        survives every check: loadable archive, format marker, checksum,
+        and a trace shaped for ``grid``. Damaged or stale files are
+        skipped silently — the corresponding attempt is simply redone on
+        resume.
 
-        With ``mmap=True`` (default) each restored trace *references* its
+        With ``mmap=True`` (default) each trace *references* its
         checkpoint file through a read-only ``np.memmap`` rather than
         copying the bytes: checksum verification pages the record through
         once, after which the OS may evict the pages — a resumed
@@ -281,17 +262,26 @@ class CampaignJournal:
         """
         if not self.directory.is_dir():
             return {}
-        best = {}
+        found = {}
         for path in sorted(self.directory.iterdir()):
-            match = _RECORD_RE.match(path.name)
-            if match is None:
+            if _RECORD_RE.match(path.name) is None:
                 continue
             record = self._load_record(path, grid, mmap=mmap)
-            if record is None:
-                continue
-            kept = best.get(record.index)
-            if kept is None or record.attempt > kept.attempt:
-                best[record.index] = record
+            if record is not None:
+                found.setdefault((record.index, record.attempt), record)
+        return found
+
+    def records(self, grid, mmap=True):
+        """{index: :class:`JournalRecord`} — the highest valid attempt per index.
+
+        The view of :meth:`attempts` that
+        :func:`~repro.runner.durable.recover_campaign` rebuilds a lost
+        archive from: each index's latest trace, whose cumulative events
+        hold the index's whole history.
+        """
+        best = {}
+        for (index, _), record in sorted(self.attempts(grid, mmap=mmap).items()):
+            best[index] = record
         return best
 
     def _load_record(self, path, grid, mmap=True):

@@ -15,8 +15,8 @@ Durability model
 
 The manifest is a directory holding two things:
 
-* ``HEADER.json`` — written once through the runner's
-  :func:`~repro.runner.journal.atomic_write` (tmp sibling + fsync +
+* ``HEADER.json`` — written once through
+  :func:`~repro.journalutil.atomic_write` (tmp sibling + fsync +
   rename + directory fsync). It carries the format marker, the **plan
   fingerprint** (a SHA-256 over every shard's identity: machine, pair,
   band, seed, and the capture-relevant config fields shared with the

@@ -46,9 +46,9 @@ HAZARD_SEED = 1731
 SEEDS = (0, 1, 2, 3, 4, 5)
 ALL_SEEDS = SEEDS + (HAZARD_SEED,)
 #: Scene builds before the simulated kill of the resumed durable route.
-#: At seed 1 this lands between two screening retries, and the resumed
-#: run screens the cohort the kill left behind: its archive differs from
-#: the uninterrupted durable run's, and the digest pins that too.
+#: At seed 1 this lands between two screening retries; resume replays the
+#: journaled attempts, so the resumed archive still equals the
+#: uninterrupted durable run's.
 KILL_AFTER = 6
 
 ROUTES = ("degraded-1", "degraded-3", "durable", "durable-resumed")
@@ -65,7 +65,7 @@ DIGESTS = {
         "degraded-1": "8e4cc520d6333c04b1f64b8f52de76e8acf83936aeaac682d47b0a6df0d6335b",
         "degraded-3": "f33734ff21488ae9aa530c25a7435b0bb3ee4bb97ad244a06e8530a2bed70209",
         "durable": "8821b86cf854e9f4254d2a0a2e2a991e93f793e3017185a980704779fcc6ec6e",
-        "durable-resumed": "15bce605fc2db1c7f73ea5bc574f5b56dfea7115437c6d4b55d1d427fcfdd9a4",
+        "durable-resumed": "8821b86cf854e9f4254d2a0a2e2a991e93f793e3017185a980704779fcc6ec6e",
         "survey": "19ecf76bacdfb52ec9d35af66ae3dc861ad612d9cba0a5479024ed4525ef1cd1",
     },
     2: {

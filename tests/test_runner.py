@@ -108,6 +108,17 @@ class HangAt:
         return self._machine.scene(activity)
 
 
+class RecordingMachine(StubMachine):
+    """A stub machine that records the falt of every scene it builds."""
+
+    def __init__(self):
+        self.built = []
+
+    def scene(self, activity):
+        self.built.append(activity.falt)
+        return super().scene(activity)
+
+
 def durable(journal_dir, machine=None, config=None, seed=1, **kwargs):
     kwargs.setdefault("sleep", lambda _: None)
     return DurableCampaign(
@@ -402,6 +413,37 @@ class TestTimeoutsAndSalvage:
         assert report.dropped == ()
         assert delays == [0.25]
         assert "capture timeouts: 1" in report.to_text()
+
+    def test_resume_replays_a_journaled_timeout(self, tmp_path):
+        """A timeout hangs on wall-clock time, so it is not pure: resume
+        replays it from the ledger of the index's later record."""
+        def hang_once():
+            return HangAt(StubMachine(), {FALTS[1]}, hang_attempts=1)
+
+        reference = durable(
+            tmp_path / "ref", machine=hang_once(), config=self.timeout_config()
+        ).run_with_activities(make_activities(), label="pair")
+        journal_dir = tmp_path / "j"
+        # Builds: index 0, index 1 (hangs, times out), index 1 retry; the
+        # kill lands on index 2, after index 1 is journaled at attempt 1.
+        with pytest.raises(KeyboardInterrupt):
+            durable(
+                journal_dir, machine=KillAfter(hang_once(), 3), config=self.timeout_config()
+            ).run_with_activities(make_activities(), label="pair")
+        delays = []
+        machine = RecordingMachine()
+        campaign = durable(
+            journal_dir, machine=machine, config=self.timeout_config(), sleep=delays.append
+        )
+        result = campaign.run_with_activities(make_activities(), label="pair")
+        assert campaign.resumed_indices == (0, 1)
+        report = result.robustness
+        assert report.n_timeouts == 1
+        assert report.retries == {1: 1}
+        assert report.events == reference.robustness.events
+        assert delays == []
+        assert machine.built == list(FALTS[2:])
+        assert_same_result(result, reference)
 
     def test_persistent_hang_dropped_and_salvaged(self, tmp_path):
         delays = []

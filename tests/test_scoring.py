@@ -48,53 +48,20 @@ class TestShiftedPowerCache:
         per-trace np.interp for any shift, inside and outside the span."""
         traces = random_traces()
         cache = ShiftedPowerCache(traces)
-        matrix = cache.shifted_all(shift)
+        row, total = np.empty(GRID.n_bins), np.empty(GRID.n_bins)
         for j, trace in enumerate(traces):
+            cache.interpolate_into(j, shift, 0.0, row, total)
             np.testing.assert_allclose(
-                matrix[j], trace.shifted_power(shift), rtol=1e-9, atol=1e-30
+                row, trace.shifted_power(shift), rtol=1e-9, atol=1e-30
             )
 
     def test_exact_bin_multiple_shift_is_exact(self):
         traces = random_traces()
         cache = ShiftedPowerCache(traces)
         shift = 7 * GRID.resolution
-        np.testing.assert_array_equal(
-            cache.shifted(0, shift)[:-7], traces[0].power_mw[7:]
-        )
-
-    def test_repeated_shift_hits_cache(self):
-        cache = ShiftedPowerCache(random_traces())
-        first = cache.shifted_all(12345.6)
-        second = cache.shifted_all(12345.6)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_rows_match_shifted_all(self):
-        cache = ShiftedPowerCache(random_traces())
-        np.testing.assert_array_equal(cache.shifted(2, 500.0), cache.shifted_all(500.0)[2])
-
-    def test_lru_eviction(self):
-        cache = ShiftedPowerCache(random_traces(), max_entries=2)
-        cache.shifted_all(1.0)
-        cache.shifted_all(2.0)
-        cache.shifted_all(3.0)  # evicts shift=1.0
-        assert cache.misses == 3
-        cache.shifted_all(2.0)
-        assert cache.hits == 1
-        cache.shifted_all(1.0)
-        assert cache.misses == 4
-
-    def test_returned_matrix_read_only(self):
-        cache = ShiftedPowerCache(random_traces())
-        with pytest.raises(ValueError):
-            cache.shifted_all(100.0)[0, 0] = 1.0
-
-    def test_valid_mask_matches_module_helper(self):
-        cache = ShiftedPowerCache(random_traces())
-        for shift in (-43.3e3, 0.0, 43.3e3, 866 * GRID.resolution):
-            np.testing.assert_array_equal(
-                cache.valid_mask(shift), shift_valid_mask(GRID, shift)
-            )
+        row, total = np.empty(GRID.n_bins), np.empty(GRID.n_bins)
+        cache.interpolate_into(0, shift, 0.0, row, total)
+        np.testing.assert_array_equal(row[:-7], traces[0].power_mw[7:])
 
     @given(shift=st.floats(min_value=-1.5e6, max_value=1.5e6))
     @settings(max_examples=60, deadline=None)
