@@ -65,7 +65,7 @@ def _drain_with_hosts(root, n_hosts, tag):
         processes = _spawn_hosts(f"http://{host}:{port}", n_hosts, tag)
         start = time.perf_counter()
         try:
-            status = client.wait(job_id, timeout_s=600.0, poll_s=0.05)
+            status = client.wait(job_id, timeout_s=600.0)
             elapsed = time.perf_counter() - start
         finally:
             for process in processes:

@@ -750,7 +750,8 @@ def build_parser():
     )
     worker.add_argument(
         "--poll-interval", type=float, default=0.25, metavar="SECONDS",
-        help="claim poll cadence while idle",
+        help="longest one idle claim waits (work wakes it at once) and the "
+        "retry backoff after a service error",
     )
     worker.add_argument(
         "--idle-exit",

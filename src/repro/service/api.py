@@ -22,7 +22,8 @@ method     path                              body / response
                                              ``?follow=1`` live-tails
                                              (chunked NDJSON envelopes)
 ``POST``   ``/claims``                       claim one shard for a remote
-                                             worker host → spec as JSON
+                                             worker host → spec as JSON;
+                                             ``{"wait_s": s}`` long-polls
 ``POST``   ``/jobs/{id}/shards/{s}/result``  report a finished shard
 ``POST``   ``/jobs/{id}/shards/{s}/fail``    report a failed shard
 ``POST``   ``/jobs/{id}/shards/{s}/release`` give a claim back uncharged
@@ -34,7 +35,12 @@ method     path                              body / response
 The claim/report endpoints are what turn the service into a *hub* for
 :class:`~repro.service.host.WorkerHost` processes: remote hosts run the
 shards, but every store transition still happens here, in the single
-writer process — the journal's crash-safety story is unchanged.
+writer process — the journal's crash-safety story is unchanged. A claim
+that finds no work may wait for some: with ``"wait_s"`` in its body the
+request is held, claiming again each time the store signals claimable
+work (a submit, a release, a requeue), for at most ``wait_s`` capped at
+:attr:`FaseService.stream_keepalive_s`, the longest the service holds
+any connection silent.
 
 Every response is JSON except ``/events`` (``application/x-ndjson``).
 Unknown jobs/tenants are 404, malformed requests 400 — always with an
@@ -53,7 +59,10 @@ chunked NDJSON live tail of envelopes::
 
 Offsets are byte offsets into the job's events log, valid across
 reconnects — pass the last seen ``offset`` back as ``?offset=`` to
-resume without replay or loss.
+resume without replay or loss. The tail does not poll: it sleeps on the
+job store's change signal and wakes within one store write of a new
+event, sending the end marker on the same pass that drains the terminal
+event (at once for a job already terminal at connect).
 """
 
 from __future__ import annotations
@@ -111,9 +120,10 @@ class FaseService:
     :meth:`start`/:meth:`stop`.
     """
 
-    #: Live-tail pacing: how often a follow stream polls the events log,
-    #: and how long it stays silent before writing a keepalive envelope.
-    stream_poll_s = 0.1
+    #: The longest a connection stays silent: a follow stream writes a
+    #: keepalive envelope after this long without events, and it caps a
+    #: ``POST /claims`` long-poll. Events themselves wake the stream at
+    #: once (the store's change signal), so there is no poll interval.
     stream_keepalive_s = 2.0
 
     def __init__(
@@ -143,8 +153,9 @@ class FaseService:
         self._httpd = None
         self._http_thread = None
         self._reaper_thread = None
-        # Set on stop(): follow-stream handlers and the hub reaper poll
-        # it so a shutdown does not hang on an open live tail.
+        # Set on stop(), which also wakes every store waiter: follow
+        # streams and claim long-polls check it, and the hub reaper
+        # sleeps on it, so a shutdown does not hang on an open request.
         self._stopping = threading.Event()
 
     # -- lifecycle ----------------------------------------------------
@@ -174,6 +185,7 @@ class FaseService:
 
     def stop(self):
         self._stopping.set()
+        self.store._signal()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -223,14 +235,19 @@ class FaseService:
     def claim_shard(self, body):
         """One remote claim: heartbeat the host, pick a shard, wire it.
 
-        The claim poll doubles as a liveness beat — a host that keeps
-        asking for work is by definition alive, even between shards.
+        With ``wait_s`` in the body an empty queue holds the request and
+        claims again each time claimable work may have appeared, until
+        one succeeds or ``min(wait_s, stream_keepalive_s)`` has passed
+        (a stopping service answers at once). The claim request doubles as a liveness beat —
+        a host that keeps asking for work is by definition alive, even
+        between shards.
         """
         worker = body.get("worker")
         if not worker or not isinstance(worker, str):
             raise ServiceError("a claim needs a non-empty worker name")
+        wait_s = min(max(float(body.get("wait_s") or 0.0), 0.0), self.stream_keepalive_s)
         self.store.worker_heartbeat(worker)
-        claimed = self.store.claim(worker)
+        claimed, _ = self.store._claim_after(worker, None, wait_s, stop=self._stopping)
         if claimed is None:
             return {"claim": None}
         return {
@@ -444,19 +461,25 @@ def _make_handler(service):
             its line — the client's resume token. Unparseable lines (a
             sealed fragment, interior damage) are skipped but still
             advance the offset, so a bad line can never wedge the tail.
+            Between passes the tail sleeps on the store's change signal,
+            at most until the next keepalive is due.
             """
             self.send_response(200)
             self.send_header("Content-Type", "application/x-ndjson")
             self.send_header("Transfer-Encoding", "chunked")
             self.end_headers()
+            store = service.store
             pos = max(0, int(offset))
-            quiet_s = 0.0
+            last_sent = time.monotonic()
             try:
                 while True:
-                    # State first, batch second: the terminal transition
-                    # and its final event are written under one store
-                    # lock, so a post-terminal read drains everything.
-                    state = service.store.job_state(job_id)
+                    # Event count, then state, then batch: the terminal
+                    # transition and its final event are written under
+                    # one store lock, so a post-terminal read drains
+                    # everything, and any event after this read moves
+                    # the count the wait below watches.
+                    seen = store._event_count(job_id)
+                    state = store.job_state(job_id)
                     lines, next_pos = read_complete_lines(path, pos)
                     for line in lines:
                         pos += len(line) + 1
@@ -466,18 +489,22 @@ def _make_handler(service):
                             continue
                         self._envelope(offset=pos, event=event)
                     pos = next_pos
+                    now = time.monotonic()
                     if lines:
-                        quiet_s = 0.0
-                    elif state in (COMPLETED, CANCELLED):
+                        last_sent = now
+                    if state in (COMPLETED, CANCELLED):
                         self._envelope(offset=pos, end=state)
                         break
                     if service._stopping.is_set():
                         break
-                    if quiet_s >= service.stream_keepalive_s:
+                    if now - last_sent >= service.stream_keepalive_s:
                         self._envelope(offset=pos)
-                        quiet_s = 0.0
-                    time.sleep(service.stream_poll_s)
-                    quiet_s += service.stream_poll_s
+                        last_sent = now
+                    store._await(
+                        lambda: store._event_count(job_id) != seen
+                        or service._stopping.is_set(),
+                        service.stream_keepalive_s - (now - last_sent),
+                    )
                 self._chunk(b"")  # the chunked-encoding terminator
             except OSError:
                 return  # the client went away; nothing to clean up

@@ -24,7 +24,7 @@ from ..survey.report import SurveyReport
 from ..survey.shards import shard_spec_from_dict
 from .queue import ClaimedShard
 
-#: Job states a poll loop treats as final.
+#: Job states a client treats as final.
 TERMINAL_STATES = ("completed", "cancelled")
 
 
@@ -143,6 +143,20 @@ class ServiceClient:
         last seen byte offset — no events replayed, none lost — up to
         ``reconnects`` consecutive failures before raising.
         """
+        for envelope in self._follow(job_id, offset, reconnects):
+            if "end" in envelope:
+                return envelope["end"]
+            event = envelope.get("event")
+            if event is not None:
+                yield event
+
+    def _follow(self, job_id, offset=0, reconnects=3, deadline=None):
+        """Every envelope of the follow stream, keepalives included.
+
+        Ends after the ``end`` envelope, or — with a ``deadline`` (in
+        ``time.monotonic()`` seconds) — once it passes: no read then
+        blocks beyond it.
+        """
         pos = int(offset)
         failures = 0
         while True:
@@ -150,8 +164,11 @@ class ServiceClient:
             request = urllib.request.Request(
                 url, headers={"Accept": "application/x-ndjson"}
             )
+            timeout_s = self.timeout_s
+            if deadline is not None:
+                timeout_s = min(timeout_s, max(deadline - time.monotonic(), 0.001))
             try:
-                with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+                with urllib.request.urlopen(request, timeout=timeout_s) as response:
                     for raw in response:
                         if not raw.strip():
                             continue
@@ -161,11 +178,9 @@ class ServiceClient:
                             continue
                         failures = 0
                         pos = int(envelope.get("offset", pos))
+                        yield envelope
                         if "end" in envelope:
-                            return envelope["end"]
-                        event = envelope.get("event")
-                        if event is not None:
-                            yield event
+                            return
             except urllib.error.HTTPError as exc:
                 detail = exc.read().decode("utf-8", "replace")
                 try:
@@ -176,6 +191,8 @@ class ServiceClient:
                     f"GET /jobs/{job_id}/events failed ({exc.code}): {detail}"
                 ) from exc
             except (urllib.error.URLError, OSError, http.client.HTTPException) as exc:
+                if deadline is not None and time.monotonic() >= deadline:
+                    return
                 failures += 1
                 if failures > reconnects:
                     raise ServiceError(
@@ -194,15 +211,17 @@ class ServiceClient:
 
     # -- the worker-host wire (used by repro.service.host) ------------
 
-    def claim(self, worker):
+    def claim(self, worker, wait_s=0.0):
         """Claim one funded shard; ``None`` when no work is available.
 
-        The revived :class:`~repro.service.queue.ClaimedShard` carries a
-        real :class:`~repro.survey.shards.ShardSpec` — host-local fields
-        (heartbeat path, checkpoint dir) are unset; the host fills in
-        its own.
+        With ``wait_s`` the service holds an empty claim until work may
+        have appeared, at most that long (a long-poll, capped by the
+        service). The revived :class:`~repro.service.queue.ClaimedShard`
+        carries a real :class:`~repro.survey.shards.ShardSpec` —
+        host-local fields (heartbeat path, checkpoint dir) are unset;
+        the host fills in its own.
         """
-        payload = self._json("POST", "/claims", {"worker": worker})
+        payload = self._json("POST", "/claims", {"worker": worker, "wait_s": wait_s})
         claim = payload.get("claim")
         if claim is None:
             return None
@@ -241,19 +260,17 @@ class ServiceClient:
         """Per-worker lifecycle counters and liveness, fleet and hosts."""
         return self._json("GET", "/workers")["workers"]
 
-    def wait(self, job_id, timeout_s=60.0, poll_s=0.1):
-        """Poll until the job is terminal; returns its final status.
+    def wait(self, job_id, timeout_s=60.0):
+        """Follow the job's event stream to its end; returns its final status.
 
-        Raises :class:`ServiceError` on deadline — a service that lost
-        its fleet should fail the caller, not hang it.
+        Raises :class:`ServiceError` once ``timeout_s`` passes — a
+        service that lost its fleet should fail the caller, not hang it.
         """
         deadline = time.monotonic() + timeout_s
-        while True:
-            status = self.job(job_id)
-            if status["state"] in TERMINAL_STATES:
-                return status
+        for envelope in self._follow(job_id, deadline=deadline):
+            if "end" in envelope:
+                return self.job(job_id)
             if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"job {job_id!r} still {status['state']!r} after {timeout_s:g}s"
-                )
-            time.sleep(poll_s)
+                break
+        state = self.job(job_id)["state"]
+        raise ServiceError(f"job {job_id!r} still {state!r} after {timeout_s:g}s")

@@ -15,6 +15,14 @@ A :class:`WorkerHost` drains shards from a
   thread heartbeats so the store can reap the claims of a host that
   dies mid-shard, and never those of a live one.
 
+An idle host never sleeps on a cadence: each claim is a bounded wait
+for work (``POST /claims`` long-polls over HTTP; in process the store's
+change signal wakes it), so a submit reaches an idle host at once.
+``poll_interval_s`` is only the cap on one such wait, the least time
+between two empty claims (a service that answers at once is not asked
+in a tight loop) and the backoff after a service error or an
+undeliverable report.
+
 The loop runs over two transports. Out of process it speaks plain HTTP
 through :class:`~repro.service.client.ServiceClient` (``fase worker
 --connect URL``); the service stays the **single store writer**, so
@@ -74,11 +82,13 @@ class WorkerHost:
     used as the client directly (the in-process fleet passes a store
     adapter). ``shard_fn`` swaps the shard body in tests (module-level,
     picklable). ``shard_timeout_s`` arms the stall watchdog (shards
-    then run in killable single-worker pools). ``idle_exit_s`` makes
-    the host exit after that long with no claimable work — the natural
-    shutdown for batch campaigns; ``max_shards`` bounds the host's
-    lifetime by work instead. ``workdir`` holds the host's scratch
-    (heartbeat files); a temp dir is created (and removed) when unset.
+    then run in killable single-worker pools). ``poll_interval_s``
+    caps one idle claim wait and paces retries after service errors.
+    ``idle_exit_s`` makes the host exit after that long with no
+    claimable work — the natural shutdown for batch campaigns;
+    ``max_shards`` bounds the host's lifetime by work instead.
+    ``workdir`` holds the host's scratch (heartbeat files); a temp dir
+    is created (and removed) when unset.
     """
 
     def __init__(
@@ -125,7 +135,7 @@ class WorkerHost:
         """The host's whole life; returns its counters when it exits.
 
         Transient service errors (a restarting hub, a network blip) are
-        retried with the poll cadence; ``max_consecutive_errors`` in a
+        retried every ``poll_interval_s``; ``max_consecutive_errors`` in a
         row raise — a host that can never reach its service should die
         loudly, not spin forever. A :meth:`stop` that lands before the
         loop starts still stops it.
@@ -148,8 +158,11 @@ class WorkerHost:
                     and self.completed + self.failed >= self.max_shards
                 ):
                     break
+                asked = time.monotonic()
                 try:
-                    claimed = self.client.claim(self.name)
+                    # Blocks until work may be claimable, at most one
+                    # poll interval: no sleep between empty claims.
+                    claimed = self.client.claim(self.name, wait_s=self.poll_interval_s)
                 except ServiceError as exc:
                     errors += 1
                     if errors > self.max_consecutive_errors:
@@ -166,7 +179,11 @@ class WorkerHost:
                         and time.monotonic() - idle_since >= self.idle_exit_s
                     ):
                         break
-                    self._stop.wait(self.poll_interval_s)
+                    # A service that answers an empty claim at once (one
+                    # without the long-poll, or one that is stopping) is
+                    # not re-asked in a tight loop: wait out the interval.
+                    # After a held claim nothing of it is left.
+                    self._stop.wait(max(asked + self.poll_interval_s - time.monotonic(), 0.0))
                     continue
                 self._run_claim(claimed)
                 idle_since = time.monotonic()

@@ -23,6 +23,24 @@ or whose whole service process was SIGKILLed — is released back to
 pending (journaled, so the release itself is replayable) and any worker
 re-runs it; the result is byte-identical because shards are pure
 functions of ``(seed, shard_id)``.
+
+**Change signal.** Waiters never poll the store. One
+``threading.Condition`` on the store lock is notified on every journal
+append and every emitted event, and each waiter re-checks its own
+predicate on each notification: an event tail compares its job's event
+count (so another job's traffic costs it one integer compare under the
+lock, not a file read), a drain checks that every job settled, and idle
+worker hosts compare a work version bumped only when claimable work may
+have appeared — a submit, a release, a requeue, or a claim or report
+that leaves pending work behind. The waits are private methods on
+purpose: nothing that blocks is part of the public store surface.
+
+**Settled jobs leave memory.** Once a job is COMPLETED or CANCELLED it
+keeps only what its status shows — spec, per-shard status map, failure
+count, per-worker tallies and merged metrics (:class:`_SettledJob`).
+Its results and ledger live in its manifest, which is already their
+source of truth: :meth:`JobStore.job_report` reloads them through the
+same restore path a restart replays.
 """
 
 from __future__ import annotations
@@ -30,8 +48,10 @@ from __future__ import annotations
 import json
 import threading
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from types import MappingProxyType
 
 from ..errors import ServiceError
 from ..io import _config_from_dict, _config_to_dict
@@ -149,12 +169,10 @@ class _JobState:
     cancelled_shards: set = field(default_factory=set)
     funded: set = field(default_factory=set)  # shard ids charged to the budget
     worker_shards: dict = field(default_factory=dict)  # worker -> shards completed
+    n_events: int = 0  # events emitted: what a follow tail waits to move
 
     def spec_for(self, shard_id):
-        for spec in self.shard_specs:
-            if spec.shard_id == shard_id:
-                return spec
-        raise ServiceError(f"job {self.spec.job_id!r} has no shard {shard_id!r}")
+        return _find_shard(self.spec.job_id, self.shard_specs, shard_id)
 
     def settled(self, shard_id):
         return (
@@ -163,6 +181,94 @@ class _JobState:
             or shard_id in self.skipped
             or shard_id in self.cancelled_shards
         )
+
+    def shard_states(self):
+        """``{shard_id: status}`` in plan order, as :meth:`JobStore.job_status` shows it."""
+        states = {}
+        for spec in self.shard_specs:
+            sid = spec.shard_id
+            if sid in self.results:
+                states[sid] = "completed"
+            elif sid in self.claims:
+                states[sid] = f"claimed:{self.claims[sid]}"
+            elif sid in self.abandoned:
+                states[sid] = "abandoned"
+            elif sid in self.skipped:
+                states[sid] = "skipped"
+            elif sid in self.cancelled_shards:
+                states[sid] = "cancelled"
+            else:
+                states[sid] = "pending"
+        return states
+
+
+class _SettledJob:
+    """What a COMPLETED or CANCELLED job keeps in memory.
+
+    Enough for ``job_state``, the whole of :meth:`JobStore.job_status`
+    and the ownership checks of late reports (a settled job holds no
+    claims; its events path is derived from its id). The merged metrics are kept as
+    compressed JSON: about 0.3 KB for a real two-shard job, against
+    1 KB of JSON text and several of nested dicts. Shard specs, results
+    and ledger are rebuilt from the manifest on demand
+    (:meth:`JobStore._restore`), and a late result revives the full
+    state for that one transition (:meth:`JobStore._live_job`).
+    :meth:`JobStore.job_status` also builds one from a live job, as the
+    summary it reports.
+    """
+
+    __slots__ = (
+        "spec", "state", "shards", "n_completed", "n_failures", "workers", "metrics_z", "n_events",
+    )
+    claims = MappingProxyType({})
+
+    def __init__(self, job):
+        self.spec = job.spec
+        self.state = job.state
+        self.shards = job.shard_states()
+        self.n_completed = len(job.results)
+        self.n_failures = sum(job.failures.values())
+        self.workers = dict(sorted(job.worker_shards.items()))
+        self.metrics_z = zlib.compress(json.dumps(_merged_metrics(job.results)).encode("utf-8"))
+        self.n_events = job.n_events
+
+    def spec_for(self, shard_id):
+        return _find_shard(self.spec.job_id, self.spec.shard_plan(), shard_id)
+
+
+def _find_shard(job_id, shard_specs, shard_id):
+    for spec in shard_specs:
+        if spec.shard_id == shard_id:
+            return spec
+    raise ServiceError(f"job {job_id!r} has no shard {shard_id!r}")
+
+
+def _merged_metrics(results):
+    """The shards' metrics merged into one JSON-safe dict.
+
+    Metric names are sorted: a result read back from the manifest has
+    its keys sorted, one still in memory has them in recording order,
+    and the same job must serialize to the same bytes either way.
+    """
+    merged = MetricsSnapshot(counters={}, gauges={}, histograms={})
+    for result in results.values():
+        merged = merged.merge(MetricsSnapshot.from_dict(result.metrics))
+    return {kind: dict(sorted(values.items())) for kind, values in merged.to_dict().items()}
+
+
+def _status(job):
+    """The JSON-safe status of a :class:`_SettledJob` summary."""
+    return {
+        "job_id": job.spec.job_id,
+        "tenant": job.spec.tenant,
+        "state": job.state,
+        "n_shards": len(job.shards),
+        "n_completed": job.n_completed,
+        "n_failures": job.n_failures,
+        "shards": dict(job.shards),
+        "workers": dict(job.workers),
+        "metrics": json.loads(zlib.decompress(job.metrics_z)),
+    }
 
 
 class JobStore:
@@ -181,8 +287,11 @@ class JobStore:
         self.root = Path(root)
         self.log_path = self.root / _LOG_NAME
         self.scheduler = scheduler if scheduler is not None else FairShareScheduler(())
-        self.jobs = {}  # job_id -> _JobState
+        self.jobs = {}  # job_id -> _JobState, or _SettledJob once terminal
         self.order = []  # job ids in submit order
+        # The jobs not yet COMPLETED/CANCELLED, in submit order: all the
+        # scheduler, the reaper and the live-claim counts ever look at.
+        self._unsettled = {}
         self.budgets = {}  # tenant -> CaptureBudget (only for capped tenants)
         self.decision = 0  # claim counter: the scheduler's logical clock
         # tenant -> decision of its latest claim, seeded at admission so
@@ -199,6 +308,11 @@ class JobStore:
         self.reap_calls = 0  # lock acquisitions by reap_stale_claims
         self._seq = 0
         self._lock = threading.RLock()
+        # The change signal (see the module docstring): notified on
+        # every journal append and event; ``_work_version`` counts the
+        # changes that may offer claimable work.
+        self._changed = threading.Condition(self._lock)
+        self._work_version = 0
 
     # -- lifecycle ----------------------------------------------------
 
@@ -235,7 +349,7 @@ class JobStore:
             had_records = self._replay()
             if had_records:
                 self._append({"kind": "restart", "server": server_name})
-                for job in self.jobs.values():
+                for job in list(self._unsettled.values()):
                     for shard_id, worker in sorted(job.claims.items()):
                         self._release_locked(
                             job,
@@ -254,6 +368,78 @@ class JobStore:
 
     def _append(self, record):
         self._write(append_line, self.log_path, record)
+        self._signal()
+
+    # -- the change signal --------------------------------------------
+
+    def _signal(self, work=False):
+        """Wake every waiter to re-check its predicate.
+
+        Shutdown calls it too, so waiters see their stop flag at once.
+        """
+        with self._changed:
+            if work:
+                self._work_version += 1
+            self._changed.notify_all()
+
+    def _offer_work_locked(self):
+        """Wake idle hosts if any live job still has pending shards.
+
+        Invariant: every transition that appends to a job's ``pending``
+        or frees a claim (and with it a tenant's concurrency slot) must
+        call this before it releases the store lock — today submit,
+        claim, complete, fail, release (which the reaper and a restart
+        go through). Idle hosts claim only when the work version moves,
+        so a transition that skips it leaves them asleep until some
+        other transition does; ``test_every_work_transition_offers_work``
+        pins each call site. With nothing pending anywhere no claim
+        could succeed, so the hosts stay asleep rather than spend a
+        claim on an empty queue.
+        """
+        if any(
+            job.pending and job.state in (QUEUED, RUNNING) for job in self._unsettled.values()
+        ):
+            self._signal(work=True)
+
+    def _await(self, ready, timeout_s):
+        """Block until ``ready()`` holds, re-checked on every store change.
+
+        Returns ``ready()``'s last value (false on timeout). Private on
+        purpose: a blocking wait is not a store operation.
+        """
+        with self._changed:
+            return self._changed.wait_for(ready, timeout_s)
+
+    def _claim_after(self, worker, seen, wait_s, stop=None):
+        """:meth:`claim` whenever claimable work may have appeared since ``seen``.
+
+        ``seen`` is the work version a previous call returned (``None``:
+        claim at once). Until ``wait_s`` has passed, each move of the
+        version is one claim attempt; a claim lost to a peer waits again.
+        Returns the claim and the work version right after it, for the
+        next call — a claim that leaves work pending signals the *other*
+        hosts, while this one hears of more work from its own report —
+        or ``(None, version)`` once the wait runs out or ``stop`` (an
+        Event) is set, without a claim on an unchanged queue.
+        """
+        deadline = time.monotonic() + wait_s
+
+        def ready():
+            return self._work_version != seen or (stop is not None and stop.is_set())
+
+        while True:
+            if seen is not None:
+                remaining = deadline - time.monotonic()
+                if not self._await(ready, remaining) or (stop is not None and stop.is_set()):
+                    return None, seen
+            with self._lock:
+                claimed, seen = self.claim(worker), self._work_version
+            if claimed is not None or time.monotonic() >= deadline:
+                return claimed, seen
+
+    def _event_count(self, job_id):
+        """How many events the job has emitted: what a follow tail waits on."""
+        return self.jobs[job_id].n_events
 
     # -- replay -------------------------------------------------------
 
@@ -273,7 +459,7 @@ class JobStore:
                 continue
             any_record = True
             self._apply(record)
-        for job in self.jobs.values():
+        for job in list(self._unsettled.values()):
             self._maybe_finalize_locked(job)
         return any_record
 
@@ -424,12 +610,20 @@ class JobStore:
             self._append({"kind": "submit", "job": spec.to_dict()})
             job = self._admit(spec)
             self._emit_event(job, "job-submitted", tenant=tenant, n_shards=len(job.shard_specs))
+            self._offer_work_locked()
             return spec.job_id
 
     def _job_dir(self, job_id):
         return self.root / "jobs" / journal_dirname(job_id)
 
-    def _admit(self, spec):
+    def _restore(self, spec):
+        """``(shard_specs, manifest, results, ledger)`` of one job.
+
+        The restart path: the plan is re-derived from the spec and the
+        results and ledger are read back from the job's manifest (which
+        is created, empty, for a job being admitted for the first time).
+        Settled jobs' reports and statuses are rebuilt through it too.
+        """
         shard_specs = spec.shard_plan()
         job_dir = self._job_dir(spec.job_id)
         manifest = SurveyManifest(job_dir / "manifest")
@@ -450,12 +644,17 @@ class JobStore:
                 )
         ledger = JournaledLedger(manifest)
         replay_ledger(ledger, ledger_events)
+        return shard_specs, manifest, results, ledger
+
+    def _build(self, spec):
+        """A job's full in-memory state, as far as its manifest knows it."""
+        shard_specs, manifest, results, ledger = self._restore(spec)
         job = _JobState(
             spec=spec,
             shard_specs=shard_specs,
             manifest=manifest,
             ledger=ledger,
-            events_path=job_dir / "events.jsonl",
+            events_path=self._events_path(spec.job_id),
             results=results,
         )
         for failure in ledger.failures:
@@ -472,7 +671,12 @@ class JobStore:
             for s in shard_specs
             if s.shard_id not in job.results and s.shard_id not in job.abandoned
         ]
+        return job
+
+    def _admit(self, spec):
+        job = self._build(spec)
         self.jobs[spec.job_id] = job
+        self._unsettled[spec.job_id] = job
         self.order.append(spec.job_id)
         # First sighting of this tenant: its aging clock starts *now*.
         # Without this baseline a tenant admitted after N total claims
@@ -508,8 +712,9 @@ class JobStore:
         """
         with self._lock:
             tenants = {}
-            for job_id in self.order:
-                job = self.jobs[job_id]
+            # Only unsettled jobs: a settled one has no pending shards and
+            # no claims, so it could never change a decision.
+            for job_id, job in self._unsettled.items():
                 tenant = job.spec.tenant
                 usage = tenants.setdefault(
                     tenant,
@@ -592,6 +797,7 @@ class JobStore:
                 # (and double-run) a shard the worker just accepted.
                 self._worker_beats[worker] = time.monotonic()
                 self._emit_event(job, "shard-claimed", shard=shard_id, worker=worker)
+                self._offer_work_locked()
                 return ClaimedShard(
                     job_id=job.spec.job_id,
                     tenant=tenant,
@@ -614,7 +820,7 @@ class JobStore:
         not drop the adopting peer's live claim with a late report.
         """
         with self._lock:
-            job = self._job(job_id)
+            job = self._live_job(job_id)
             if shard_id not in job.results:
                 job.manifest.append_shard(result)
             self._append({
@@ -636,6 +842,7 @@ class JobStore:
                 attrs["elapsed_s"] = round(float(elapsed_s), 6)
             self._emit_event(job, "shard-finished", **attrs)
             self._maybe_finalize_locked(job)
+            self._offer_work_locked()
 
     def fail_shard(self, job_id, shard_id, kind, detail, worker):
         """A worker's shard failed: charge, requeue-or-abandon, journal.
@@ -674,6 +881,7 @@ class JobStore:
                 job.pending.append(shard_id)
             self._emit_event(job, "shard-failed", shard=shard_id, kind=kind, failures=n)
             self._maybe_finalize_locked(job)
+            self._offer_work_locked()
 
     def release_shard(self, job_id, shard_id, worker, detail):
         """Give a claim back uncharged (worker shutdown, stale reap)."""
@@ -703,6 +911,7 @@ class JobStore:
             job.pending.append(shard_id)
         self._emit_event(job, "shard-released", shard=shard_id, detail=detail)
         self._maybe_finalize_locked(job)
+        self._offer_work_locked()
 
     def cancel(self, job_id):
         """Cooperative cancellation: pending shards die now, claims drain.
@@ -727,21 +936,57 @@ class JobStore:
             return job.state
 
     def _maybe_finalize_locked(self, job):
-        if job.state in (COMPLETED, CANCELLED) or job.claims:
-            return
-        if job.state == CANCELLING:
-            self._append({"kind": "cancelled", "job_id": job.spec.job_id})
-            job.state = CANCELLED
-            self._emit_event(job, "job-cancelled")
-        elif not job.pending:
-            self._append({"kind": "complete", "job_id": job.spec.job_id})
-            job.state = COMPLETED
-            self._emit_event(
-                job,
-                "job-completed",
-                n_results=len(job.results),
-                workers=dict(sorted(job.worker_shards.items())),
-            )
+        if job.state not in (COMPLETED, CANCELLED):
+            if job.claims:
+                return
+            if job.state == CANCELLING:
+                self._append({"kind": "cancelled", "job_id": job.spec.job_id})
+                job.state = CANCELLED
+                self._emit_event(job, "job-cancelled")
+            elif not job.pending:
+                self._append({"kind": "complete", "job_id": job.spec.job_id})
+                job.state = COMPLETED
+                self._emit_event(
+                    job,
+                    "job-completed",
+                    n_results=len(job.results),
+                    workers=dict(sorted(job.worker_shards.items())),
+                )
+            else:
+                return
+        self._unsettled.pop(job.spec.job_id, None)
+        self._evict_locked(job)
+
+    def _evict_locked(self, job):
+        """Drop a terminal job's results, plan and ledger from memory.
+
+        Kept whole only while its manifest is degraded: then results
+        that never reached the disk exist nowhere else.
+        """
+        if isinstance(job, _JobState) and job.manifest.degraded is None:
+            self.jobs[job.spec.job_id] = _SettledJob(job)
+
+    def _live_job(self, job_id):
+        """The job's full state; a settled one is revived from its manifest.
+
+        Only a late shard report (a worker whose claim was reaped)
+        mutates a settled job; it is evicted again when the transition
+        finalizes.
+        """
+        job = self._job(job_id)
+        if isinstance(job, _JobState):
+            return job
+        live = self._build(job.spec)
+        live.state = job.state
+        live.worker_shards = dict(job.workers)
+        live.n_events = job.n_events
+        live.pending = [sid for sid, state in job.shards.items() if state == "pending"]
+        live.skipped = {sid for sid, state in job.shards.items() if state == "skipped"}
+        live.cancelled_shards = {
+            sid for sid, state in job.shards.items() if state == "cancelled"
+        }
+        self.jobs[job_id] = live
+        return live
 
     # -- workers ------------------------------------------------------
 
@@ -780,7 +1025,7 @@ class JobStore:
         reaped = 0
         with self._lock:
             self.reap_calls += 1
-            for job in list(self.jobs.values()):
+            for job in list(self._unsettled.values()):
                 for shard_id, worker in sorted(job.claims.items()):
                     beat = self._worker_beats.get(worker)
                     age = float("inf") if beat is None else now - beat
@@ -807,7 +1052,7 @@ class JobStore:
         """
         with self._lock:
             live = {}
-            for job in self.jobs.values():
+            for job in self._unsettled.values():
                 for worker in job.claims.values():
                     live[worker] = live.get(worker, 0) + 1
             now = time.monotonic()
@@ -844,7 +1089,7 @@ class JobStore:
 
     def all_settled(self):
         with self._lock:
-            return all(job.state in (COMPLETED, CANCELLED) for job in self.jobs.values())
+            return not self._unsettled
 
     def job_state(self, job_id):
         """The job's lifecycle state alone — what an event tail polls."""
@@ -857,54 +1102,38 @@ class JobStore:
             return self._job(job_id).spec_for(shard_id)
 
     def job_status(self, job_id):
-        """Status + per-shard progress + merged metrics, all JSON-safe."""
+        """Status + per-shard progress + merged metrics, all JSON-safe.
+
+        A settled job answers from its in-memory summary; nothing is
+        read from disk.
+        """
         with self._lock:
             job = self._job(job_id)
-            shards = {}
-            for spec in job.shard_specs:
-                sid = spec.shard_id
-                if sid in job.results:
-                    shards[sid] = "completed"
-                elif sid in job.claims:
-                    shards[sid] = f"claimed:{job.claims[sid]}"
-                elif sid in job.abandoned:
-                    shards[sid] = "abandoned"
-                elif sid in job.skipped:
-                    shards[sid] = "skipped"
-                elif sid in job.cancelled_shards:
-                    shards[sid] = "cancelled"
-                else:
-                    shards[sid] = "pending"
-            merged = MetricsSnapshot(counters={}, gauges={}, histograms={})
-            for result in job.results.values():
-                merged = merged.merge(MetricsSnapshot.from_dict(result.metrics))
-            return {
-                "job_id": job_id,
-                "tenant": job.spec.tenant,
-                "state": job.state,
-                "n_shards": len(job.shard_specs),
-                "n_completed": len(job.results),
-                "n_failures": sum(job.failures.values()),
-                "shards": shards,
-                "workers": dict(sorted(job.worker_shards.items())),
-                "metrics": merged.to_dict(),
-            }
+            if isinstance(job, _JobState):
+                job = _SettledJob(job)
+            return _status(job)
 
     def job_report(self, job_id):
         """The job's :class:`~repro.survey.report.SurveyReport` so far.
 
         Aggregated exactly as ``run_survey`` would have — same merge
         code path — over whatever shards have completed; the ledger
-        carries retries, abandonments, skips, and cancellations.
+        carries retries, abandonments, skips, and cancellations. A
+        settled job's results and ledger are read back from its
+        manifest, once per call, outside the store lock.
         """
         from ..survey.engine import _aggregate
 
         with self._lock:
             job = self._job(job_id)
-            report, _ = _aggregate(
-                job.shard_specs, job.results, job.ledger, job.spec.config.describe()
-            )
-            return report
+            if isinstance(job, _JobState):
+                report, _ = _aggregate(
+                    job.shard_specs, job.results, job.ledger, job.spec.config.describe()
+                )
+                return report
+        shard_specs, _, results, ledger = self._restore(job.spec)
+        report, _ = _aggregate(shard_specs, results, ledger, job.spec.config.describe())
+        return report
 
     def tenant_usage(self, tenant):
         """Quota usage for one tenant (policy, claims, captures)."""
@@ -912,7 +1141,7 @@ class JobStore:
             policy = self.scheduler.policy_for(tenant)
             live = sum(
                 len(job.claims)
-                for job in self.jobs.values()
+                for job in self._unsettled.values()
                 if job.spec.tenant == tenant
             )
             budget = self.budgets.get(tenant)
@@ -934,7 +1163,11 @@ class JobStore:
 
     def events_path(self, job_id):
         with self._lock:
-            return self._job(job_id).events_path
+            self._job(job_id)  # unknown jobs raise
+        return self._events_path(job_id)
+
+    def _events_path(self, job_id):
+        return self._job_dir(job_id) / "events.jsonl"
 
     def _emit_event(self, job, name, **attrs):
         """One advisory line in the job's telemetry JSONL (never fails)."""
@@ -944,3 +1177,5 @@ class JobStore:
                 handle.write(json.dumps(record, sort_keys=True) + "\n")
         except OSError:
             pass
+        job.n_events += 1
+        self._signal()

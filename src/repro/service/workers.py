@@ -8,6 +8,14 @@ instead of HTTP. Shards are pure ``(seed, shard_id)`` functions run by
 the survey engine's :func:`~repro.survey.engine.execute_shard`, so a
 re-run after a crash, a reap or a duplicated adoption is byte-identical.
 
+Idle hosts do not poll: the adapter waits on the store's change signal
+until claimable work may have appeared (a submit, a release, a requeue,
+or a transition that leaves pending work behind) and only then claims,
+so an empty queue costs no claims at all; :meth:`WorkerFleet.stop`
+wakes them to exit. ``poll_interval_s`` only caps one such wait and
+paces retries after a store error. :meth:`WorkerFleet.drain` waits on
+the same signal.
+
 Each host's beat thread keeps its claims alive at an interval well
 under ``reap_after_s``, so a worker busy with a long shard is never
 reaped. One reaper (:func:`start_reaper`, shared with the hub-only
@@ -18,7 +26,6 @@ that stopped beating, for adoption by their peers.
 from __future__ import annotations
 
 import threading
-import time
 
 from ..errors import ServiceError
 from ..survey.shards import run_shard
@@ -48,18 +55,35 @@ class _StoreClient:
 
     def __init__(self, store):
         self.store = store
+        self.stop = None  # the host's stop Event: ends an idle wait early
+        self._seen = None  # the store's work version after this host's last claim
 
-    def claim(self, worker):
-        return self.store.claim(worker)
+    def claim(self, worker, wait_s=0.0):
+        """Claim once claimable work may have appeared since the last claim.
+
+        Waits up to ``wait_s`` for the store's work signal; ``None`` if
+        it stays quiet, without spending a claim on an unchanged queue.
+        """
+        claimed, self._seen = self.store._claim_after(worker, self._seen, wait_s, self.stop)
+        return claimed
 
     def heartbeat(self, worker):
         self.store.worker_heartbeat(worker)
 
     def report_result(self, job_id, shard_id, result, worker, elapsed_s=None):
-        self.store.complete_shard(job_id, shard_id, result, worker, elapsed_s=elapsed_s)
+        self._report(self.store.complete_shard, job_id, shard_id, result, worker, elapsed_s)
 
     def report_failure(self, job_id, shard_id, kind, detail, worker):
-        self.store.fail_shard(job_id, shard_id, kind, detail, worker)
+        self._report(self.store.fail_shard, job_id, shard_id, kind, detail, worker)
+
+    def _report(self, send, *args):
+        # A report is how this host hears of work its claim left pending;
+        # when one fails, look at the queue again instead.
+        try:
+            send(*args)
+        except ServiceError:
+            self._seen = None
+            raise
 
 
 class _FleetHost(WorkerHost):
@@ -67,6 +91,7 @@ class _FleetHost(WorkerHost):
 
     def __init__(self, fleet, name, **kwargs):
         super().__init__(_StoreClient(fleet.store), name=name, **kwargs)
+        self.client.stop = self._stop
         self.fleet = fleet
 
     def _run_claim(self, claimed):
@@ -80,7 +105,9 @@ class WorkerFleet:
     """A pool of claim-driven worker threads over one :class:`JobStore`.
 
     ``shard_fn`` replaces :func:`~repro.survey.shards.run_shard` in
-    tests (module-level, picklable). ``reap_after_s`` arms the stale-
+    tests (module-level, picklable). ``poll_interval_s`` caps one idle
+    wait and is the backoff after a store error; work wakes idle workers
+    at once. ``reap_after_s`` arms the stale-
     claim reaper: the fleet releases claims whose owner has not
     heartbeated within that window, sweeping once per
     ``reap_after_s / 2``; its workers beat every ``reap_after_s / 4``.
@@ -138,6 +165,7 @@ class WorkerFleet:
         self._stop.set()
         for host in self._hosts:
             host.stop()
+        self.store._signal()  # idle hosts see their stop now, not at the wait cap
         for thread in self._threads:
             thread.join(timeout=timeout_s)
         self._hosts = []
@@ -152,13 +180,7 @@ class WorkerFleet:
         vacuously true for an empty store, and that is the semantics a
         shutdown path wants: nothing in flight, safe to stop.)
         """
-        deadline = time.monotonic() + timeout_s
-        while True:
-            if self.store.all_settled():
-                return True
-            if time.monotonic() >= deadline:
-                return self.store.all_settled()
-            time.sleep(self.poll_interval_s)
+        return self.store._await(self.store.all_settled, timeout_s)
 
     def shard_heartbeat_path(self, claimed):
         """The stall-watchdog heartbeat file the fleet uses for one claim."""
