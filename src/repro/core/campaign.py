@@ -111,32 +111,6 @@ class CampaignResult:
             robustness=self.robustness,
         )
 
-    def prefix_view(self, n):
-        """The campaign as it looked after its first ``n`` captures.
-
-        The serial capture path appends measurements in falt order, so
-        the prefix of length ``n`` is itself a valid (smaller) campaign:
-        the Eq. 1/2 scorer sees a product of ``n`` factors instead of
-        the full ``N``. The adaptive survey planner scores these views
-        incrementally to bound how much evidence the remaining captures
-        could still contribute. The view shares measurement objects with
-        ``self`` — no traces are copied.
-        """
-        if not 2 <= n <= len(self.measurements):
-            raise CampaignError(
-                f"prefix length {n} outside 2..{len(self.measurements)}; "
-                "the heuristic needs at least two measurements"
-            )
-        if n == len(self.measurements):
-            return self
-        return CampaignResult(
-            config=self.config,
-            machine_name=self.machine_name,
-            activity_label=self.activity_label,
-            measurements=self.measurements[:n],
-            robustness=self.robustness,
-        )
-
     @property
     def grid(self):
         if not self.measurements:

@@ -99,9 +99,9 @@ def run_fase(
     with the pair's finished :class:`~repro.core.campaign.CampaignResult`
     after detection — the one window where campaign spectra are still
     alive. The report itself stays compact (detections and harmonic sets
-    only); the survey's zero-copy data plane uses this hook to publish
-    trace rows into shared memory without ``run_fase`` ever exposing
-    whole campaigns. A hook exception fails the pair's run.
+    only); a ``keep_spectra`` survey shard uses this hook to pack its
+    trace rows without ``run_fase`` ever exposing whole campaigns. A
+    hook exception fails the pair's run.
     """
     rng = ensure_rng(rng)
     config = config or campaign_low_band()

@@ -9,7 +9,9 @@ shard runs the full existing pipeline (campaign → heuristic → detection
 death with bounded, ledgered requeues.
 
 * :mod:`~repro.survey.shards` — :class:`ShardSpec`/:class:`ShardResult`
-  and the pure per-process worker :func:`run_shard`;
+  and the pure per-process worker :func:`run_shard`; a
+  ``run_survey(keep_spectra=True)`` shard returns its raw trace rows as
+  a :class:`ShardSpectra` inside its result;
 * :mod:`~repro.survey.engine` — :func:`run_survey` (and
   :func:`plan_shards`), the round-based process-pool scheduler with the
   stall watchdog (``shard_timeout_s``);
@@ -18,11 +20,6 @@ death with bounded, ledgered requeues.
   promise-ordered capture budgeting with per-machine quotas, and
   provable per-shard early stopping
   (``run_survey(planner=AdaptivePlanner(...))``);
-* :mod:`~repro.survey.dataplane` — the zero-copy data plane: per-shard
-  shared-memory trace blocks (:class:`TraceArena`, :class:`BlockRef`)
-  workers write into in place, so no O(bins) payload ever rides the
-  pickle stream (``run_survey(keep_spectra=True)``), plus the
-  :class:`PickledSpectra` fallback when ``/dev/shm`` is exhausted;
 * :mod:`~repro.survey.manifest` — the survey-level crash-safe journal
   (:class:`SurveyManifest`): ``run_survey(manifest_dir=...,
   resume=True)`` skips completed shards byte-identically and
@@ -38,15 +35,6 @@ command line (``--machines``, ``--workers``, ``--bands``,
 campaign/fault/telemetry flags).
 """
 
-from .dataplane import (
-    BlockRef,
-    PickledSpectra,
-    ShardSpectra,
-    SpectraMeta,
-    TraceArena,
-    pickle_campaign,
-    publish_campaign,
-)
 from .engine import BAND_PRESETS, DEFAULT_PAIRS, parse_bands, plan_shards, run_survey
 from .manifest import (
     MANIFEST_FORMAT,
@@ -77,20 +65,18 @@ from .report import (
     REPORT_JSON_FORMAT,
     SHARD_ERROR,
     SHARD_STALLED,
-    SHM_FALLBACK,
     WORKER_DEATH,
     ShardFailure,
     SurveyLedger,
     SurveyReport,
 )
-from .shards import ShardResult, ShardSpec, beat_heartbeat, run_shard
+from .shards import ShardResult, ShardSpec, ShardSpectra, beat_heartbeat, run_shard
 
 __all__ = [
     "AdaptivePlanner",
     "AdaptiveShardOutcome",
     "BAND_PRESETS",
     "BUDGET_EXHAUSTED",
-    "BlockRef",
     "CANCELLED",
     "CaptureBudget",
     "DEFAULT_PAIRS",
@@ -101,30 +87,24 @@ __all__ = [
     "POOL_BREAK",
     "POOL_BREAK_CAP",
     "PRESCAN_SKIPPED",
-    "PickledSpectra",
     "PlanAccounting",
     "REPORT_JSON_FORMAT",
     "SHARD_ERROR",
     "SHARD_STALLED",
-    "SHM_FALLBACK",
     "ShardFailure",
     "ShardPromise",
     "ShardResult",
     "ShardSpec",
     "ShardSpectra",
-    "SpectraMeta",
     "SurveyLedger",
     "SurveyManifest",
     "SurveyReport",
-    "TraceArena",
     "WORKER_DEATH",
     "beat_heartbeat",
     "parse_bands",
-    "pickle_campaign",
     "plan_fingerprint",
     "plan_shards",
     "prescan_shard",
-    "publish_campaign",
     "recover_survey_report",
     "replay_ledger",
     "run_planned",

@@ -5,8 +5,8 @@ detections, a hung worker never wedges a survey, degraded modes finish
 with the downgrade ledgered — is only worth stating if something hostile
 exercises it. This module is that something: picklable shard functions
 that kill or hang their own worker, manifest mutilators that reproduce
-kill-mid-write damage, and context managers that inject ``/dev/shm``
-exhaustion and full-disk manifest failures. The ``chaos`` test tier
+kill-mid-write damage, and a context manager that injects full-disk
+manifest failures. The ``chaos`` test tier
 (``tests/test_chaos.py``) drives them.
 
 Everything here follows the survey test idiom: shard functions are
@@ -18,7 +18,6 @@ worker through ``config.name`` — the one free-form string on a
 
 from __future__ import annotations
 
-import errno
 import os
 import signal
 from contextlib import contextmanager
@@ -171,35 +170,6 @@ def torn_manifest_tail(manifest_dir, garbage=b'{"record": {"kind": "shard", "sha
 
 # ----------------------------------------------------------------------
 # Resource-failure injectors.
-
-
-@contextmanager
-def shm_exhausted(after=0):
-    """Make shared-memory *creation* fail with ``ENOSPC`` after ``after``
-    successful allocations — the /dev/shm-full scenario. Worker-side
-    attachment (``create`` absent) passes through untouched.
-    """
-    from . import dataplane
-
-    real = dataplane.shared_memory
-    state = {"allocations": 0}
-
-    class _ExhaustedSharedMemory:
-        @staticmethod
-        def SharedMemory(*args, **kwargs):
-            if kwargs.get("create"):
-                if state["allocations"] >= after:
-                    raise OSError(
-                        errno.ENOSPC, "No space left on device (chaos-injected)"
-                    )
-                state["allocations"] += 1
-            return real.SharedMemory(*args, **kwargs)
-
-    dataplane.shared_memory = _ExhaustedSharedMemory
-    try:
-        yield state
-    finally:
-        dataplane.shared_memory = real
 
 
 @contextmanager

@@ -49,12 +49,10 @@ A shard result is a pure function of ``(seed, shard_id)`` (see
 inline, no pool — produces detections identical to any process-parallel
 run of the same plan, and re-running a requeued shard is always safe.
 
-With ``keep_spectra=True`` the engine also owns the zero-copy data
-plane (:mod:`~repro.survey.dataplane`): one shared-memory block per
-shard, allocated before any worker starts and released in a ``finally``
-unless ownership transfers to the returned report — so no exit path
-(shard error, worker SIGKILL, pool break, engine exception) can leak a
-``/dev/shm`` segment.
+With ``keep_spectra=True`` each shard also returns its campaign's trace
+rows in :attr:`~repro.survey.shards.ShardResult.spectra`, and the engine
+hands them to the caller in ``report.spectra``; a shard that never
+completes contributes no rows.
 """
 
 from __future__ import annotations
@@ -86,7 +84,6 @@ from ..telemetry import (
     use_telemetry,
 )
 from ..uarch.isa import MicroOp
-from .dataplane import PickledSpectra, ShardSpectra, TraceArena
 from .manifest import (
     JournaledLedger,
     SurveyManifest,
@@ -99,7 +96,6 @@ from .report import (
     POOL_BREAK_CAP,
     SHARD_ERROR,
     SHARD_STALLED,
-    SHM_FALLBACK,
     WORKER_DEATH,
     SurveyLedger,
     SurveyReport,
@@ -813,15 +809,11 @@ def run_survey(
     waiting for a shared pool are abandoned with the ``pool-break-cap``
     ledger kind instead of cycling break/requeue forever.
 
-    ``keep_spectra=True`` turns on the zero-copy data plane: every shard
-    gets a parent-owned shared-memory block, workers write their
-    campaign's trace rows into it in place (nothing O(bins) crosses the
-    pickle boundary), and the returned report carries
-    ``report.spectra[shard_id]`` views plus ownership of the arena —
-    call ``report.close()`` (or use the report as a context manager)
-    when done. Every failure path releases the blocks in a ``finally``,
-    so worker death, pool breaks, and engine exceptions cannot leak
-    ``/dev/shm`` segments.
+    ``keep_spectra=True`` keeps the raw spectra: every shard returns its
+    campaign's trace rows with its result, and the report carries them
+    as ``report.spectra[shard_id]``
+    (:class:`~repro.survey.shards.ShardSpectra`). Shards restored from a
+    manifest return no rows.
 
     ``shard_fn`` replaces :func:`~repro.survey.shards.run_shard` in
     tests; it must be a module-level (picklable) callable.
@@ -945,7 +937,6 @@ def run_survey(
         )
     results = _ManifestResults(manifest) if manifest is not None else {}
     ledger = JournaledLedger(manifest) if manifest is not None else SurveyLedger()
-    arena = None
     try:
         with ExitStack() as stack:
             if telemetry is not None:
@@ -988,35 +979,7 @@ def run_survey(
                 if shard_id not in done:
                     ledger.cancelled.pop(shard_id)
             if keep_spectra:
-                # Allocate every pending shard's block up front, before
-                # any worker exists: the parent is the sole owner, so no
-                # worker fate can leak a segment. A shard whose block
-                # cannot be allocated (/dev/shm exhausted) degrades to
-                # the pickle stream instead of failing the survey.
-                arena = TraceArena()
-                planned = []
-                for spec in specs:
-                    if spec.shard_id in done:
-                        planned.append(spec)
-                        continue
-                    try:
-                        block = arena.allocate(
-                            spec.shard_id,
-                            capacity=len(spec.config.falts()),
-                            n_bins=spec.config.grid().n_bins,
-                        )
-                    except (OSError, MemoryError) as exc:
-                        ledger.record_note(
-                            spec.shard_id,
-                            SHM_FALLBACK,
-                            f"shared-memory allocation failed ({exc}); "
-                            "this shard's spectra ride the pickle stream",
-                        )
-                        tel.event("shard-shm-fallback", shard=spec.shard_id)
-                        planned.append(replace(spec, keep_spectra=True))
-                    else:
-                        planned.append(replace(spec, block=block))
-                specs = tuple(planned)
+                specs = tuple(replace(spec, keep_spectra=True) for spec in specs)
             pending = [spec for spec in specs if spec.shard_id not in done]
             with tel.span("run_survey", n_shards=len(specs), workers=workers):
                 if planner is not None:
@@ -1055,28 +1018,12 @@ def run_survey(
                     record_planner_ledger(tel, accounting)
             if telemetry is not None and telemetry.enabled:
                 telemetry.emit_external_snapshot(merged, label="survey-metrics")
-        if arena is not None:
+        if keep_spectra:
             for spec in specs:
                 shard = results.get(spec.shard_id)
-                if shard is None or shard.spectra is None:
-                    continue
-                if isinstance(shard.spectra, PickledSpectra):
-                    report.spectra[spec.shard_id] = ShardSpectra(
-                        spec.config.grid(),
-                        shard.spectra.power,
-                        shard.spectra.meta,
-                    )
-                else:
-                    report.spectra[spec.shard_id] = ShardSpectra(
-                        spec.config.grid(),
-                        arena.view(spec.shard_id, shard.spectra.n_rows),
-                        shard.spectra,
-                    )
-            # Ownership transfers to the report; the caller closes it.
-            report.arena, arena = arena, None
+                if shard is not None and shard.spectra is not None:
+                    report.spectra[spec.shard_id] = shard.spectra
         return report
     finally:
-        if arena is not None:
-            arena.release()
         if heartbeat_tmp is not None:
             heartbeat_tmp.cleanup()

@@ -91,9 +91,10 @@ def plan_fingerprint(specs, planner=None):
     the capture-relevant config fields — the same field set the campaign
     journal fingerprints, so the two layers agree on what "the same
     measurement" means — and the planner's tunables when adaptive.
-    Runtime knobs (workers, timeouts, telemetry paths,
-    ``keep_spectra``) are deliberately excluded: tuning them between runs
-    never orphans a manifest.
+    Runtime knobs (workers, timeouts, telemetry paths, and
+    ``keep_spectra``, which changes what a run returns but not what it
+    measures) are deliberately excluded: tuning them between runs never
+    orphans a manifest.
     """
     shards = []
     for spec in specs:
@@ -131,10 +132,10 @@ def plan_fingerprint(specs, planner=None):
 def shard_result_to_dict(result):
     """JSON form of a :class:`~repro.survey.shards.ShardResult`.
 
-    ``spectra`` is deliberately stripped: block metadata points into a
-    shared-memory arena that did not survive the crash, and pickled rows
-    are O(bins). A resumed ``keep_spectra`` survey restores detections
-    and ledgers exactly but not the restored shards' trace rows.
+    ``spectra`` is deliberately stripped: trace rows are O(bins) and
+    the manifest stays O(detections). A resumed ``keep_spectra`` survey
+    restores detections and ledgers exactly but not the restored shards'
+    trace rows.
     """
     activity = result.activity
     detections = list(activity.detections)

@@ -32,7 +32,6 @@ SHARD_STALLED = "shard-stalled"  # the shard blew its wall-clock deadline; worke
 CANCELLED = "cancelled"  # cooperative cancellation reached the shard before it ran
 
 #: Degradation note kinds recorded in the ledger (graceful fallbacks).
-SHM_FALLBACK = "shm-fallback"  # /dev/shm allocation failed; spectra ride the pickle
 DURABILITY_DEGRADED = "durability-degraded"  # manifest writes failed; running non-durable
 
 #: Planner decision kinds recorded in the ledger (adaptive surveys).
@@ -108,8 +107,9 @@ class SurveyLedger:
         self.planned[shard_id] = (kind, detail)
 
     def record_note(self, scope, kind, detail):
-        """One graceful-degradation event (:data:`SHM_FALLBACK`,
-        :data:`DURABILITY_DEGRADED`). ``scope`` is a shard id, or ``None``
+        """One graceful-degradation event (e.g. :data:`DURABILITY_DEGRADED`;
+        manifests may also replay kinds earlier versions journaled, such
+        as ``shm-fallback``). ``scope`` is a shard id, or ``None``
         for a survey-wide event. Notes are not failures: the survey kept
         running, just with one guarantee weakened — and says which."""
         self.notes.append((scope, kind, detail))
@@ -347,11 +347,8 @@ class SurveyReport:
     ``ledger`` explains any gap between the two.
 
     A ``keep_spectra`` survey additionally fills ``spectra`` with one
-    :class:`~repro.survey.dataplane.ShardSpectra` per completed shard —
-    zero-copy views into the engine's shared-memory arena. The report
-    then *owns* that arena: call :meth:`close` (or use the report as a
-    context manager) when the spectra are no longer needed, after which
-    the views are invalid. Reports without spectra close as a no-op.
+    :class:`~repro.survey.shards.ShardSpectra` per shard that ran to
+    completion in this call — ordinary arrays the caller owns outright.
     """
 
     config_description: str
@@ -362,25 +359,10 @@ class SurveyReport:
     n_shards: int = 0
     n_completed: int = 0
     spectra: dict = field(default_factory=dict)  # shard_id -> ShardSpectra
-    arena: object = field(default=None, repr=False)  # TraceArena | None
     planning: object = None  # PlanAccounting | None (adaptive surveys)
 
     def detections_for(self, machine_name, label):
         return self.machines[machine_name].detections_for(label)
-
-    def close(self):
-        """Release the shared-memory arena behind ``spectra`` (idempotent)."""
-        self.spectra.clear()
-        if self.arena is not None:
-            self.arena.release()
-            self.arena = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-        return False
 
     def to_dict(self):
         """JSON-serializable form of the whole report.
@@ -388,9 +370,9 @@ class SurveyReport:
         Everything semantic survives — detections, harmonic sets,
         sources, cross-machine comparison, ledger, merged metrics —
         detection-for-detection (frozen dataclasses compare equal after
-        the round trip). Deliberately excluded: ``spectra``/``arena``
-        (live shared-memory views) and ``planning`` (in-process adaptive
-        accounting); both are run artifacts, not results.
+        the round trip). Deliberately excluded: ``spectra`` (raw trace
+        rows, O(bins)) and ``planning`` (in-process adaptive accounting);
+        both are run artifacts, not results.
         """
         return {
             "format": REPORT_JSON_FORMAT,

@@ -33,12 +33,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..core.pipeline import is_memory_pair, pair_label, run_fase
 from ..errors import SurveyError
-from .dataplane import pickle_campaign, publish_campaign
 from ..faults import FaultPlan
 from ..io import _config_from_dict, _config_to_dict
 from ..rng import child_rng, make_rng
+from ..spectrum.trace import SpectrumTrace
 from ..system import ALL_PRESETS
 from ..telemetry import JsonlSink, Telemetry
 from ..uarch.isa import MicroOp
@@ -62,9 +64,49 @@ class ShardSpec:
     seed: int
     fault_classes: object = None  # tuple of names | None (clean run)
     telemetry_jsonl: object = None  # per-shard JSONL path | None
-    block: object = None  # BlockRef into the parent's TraceArena | None
-    keep_spectra: bool = False  # ship spectra by pickle when no block (shm fallback)
+    keep_spectra: bool = False  # return the campaign's trace rows in the result
     heartbeat_path: object = None  # stall-watchdog heartbeat file | None
+
+
+@dataclass(frozen=True, eq=False)
+class ShardSpectra:
+    """One shard's raw spectra: the campaign's trace rows on its grid.
+
+    ``power`` is a ``(n_rows, n_bins)`` float64 array, one row per
+    measured ``falt`` in campaign order, with that row's ``falts``,
+    ``labels`` and ``flagged`` entries alongside; :meth:`trace` wraps one
+    row as a :class:`~repro.spectrum.SpectrumTrace` for the ordinary
+    analysis APIs. A ``keep_spectra`` worker builds it and it rides home
+    in :attr:`ShardResult.spectra` like any other result field.
+    """
+
+    grid: object  # FrequencyGrid
+    power: object  # np.ndarray of shape (n_rows, n_bins)
+    falts: tuple
+    labels: tuple
+    flagged: tuple
+
+    @classmethod
+    def from_campaign(cls, grid, result):
+        """Pack a :class:`~repro.core.campaign.CampaignResult`'s rows."""
+        measurements = result.measurements
+        return cls(
+            grid=grid,
+            power=np.stack(
+                [np.asarray(m.trace.power_mw, dtype=np.float64) for m in measurements]
+            ),
+            falts=tuple(float(m.falt) for m in measurements),
+            labels=tuple(m.trace.label for m in measurements),
+            flagged=tuple(bool(m.flagged) for m in measurements),
+        )
+
+    @property
+    def n_rows(self):
+        return self.power.shape[0]
+
+    def trace(self, i):
+        """Row ``i`` as a :class:`SpectrumTrace` (a view, not a copy)."""
+        return SpectrumTrace(self.grid, self.power[i], label=self.labels[i])
 
 
 @dataclass(frozen=True)
@@ -77,11 +119,10 @@ class ShardResult:
     snapshot in :meth:`~repro.telemetry.MetricsSnapshot.to_dict` form,
     revived and merged by the parent.
 
-    Everything here is compact — O(detections), never O(bins). When the
-    shard was given a shared-memory ``block``, the campaign's spectra
-    were written into it in place and ``spectra`` carries only the
-    :class:`~repro.survey.dataplane.SpectraMeta` describing the rows;
-    the trace bytes themselves never ride the pickle stream.
+    Everything here is compact — O(detections), never O(bins) — except
+    ``spectra``: a ``keep_spectra`` shard returns its campaign's
+    :class:`ShardSpectra` there, which the engine hands to the caller
+    unchanged in :attr:`~repro.survey.SurveyReport.spectra`.
     """
 
     shard_id: str
@@ -93,7 +134,7 @@ class ShardResult:
     is_memory_pair: bool
     activity: object
     metrics: dict
-    spectra: object = None  # SpectraMeta (block) | PickledSpectra (shm fallback) | None
+    spectra: object = None  # ShardSpectra | None
 
 
 def shard_spec_to_dict(spec):
@@ -101,10 +142,9 @@ def shard_spec_to_dict(spec):
 
     Only the *portable* fields travel — the ones that make the shard a
     pure function of ``(seed, shard_id)``. Host-local plumbing
-    (``telemetry_jsonl``, ``heartbeat_path``, the shared-memory
-    ``block``) is deliberately dropped: those are paths
-    and handles in the *sender's* filesystem/address space, and a
-    worker host re-derives its own.
+    (``telemetry_jsonl``, ``heartbeat_path``) and ``keep_spectra`` are
+    deliberately dropped: the paths belong to the *sender's*
+    filesystem, and a worker host re-derives its own.
     """
     return {
         "shard_id": spec.shard_id,
@@ -180,20 +220,10 @@ def run_shard(spec):
     beat_heartbeat(spec.heartbeat_path)
     published = {}
     campaign_hook = None
-    if spec.block is not None:
-        # Zero-copy data plane: write the campaign's trace rows straight
-        # into the parent-owned shared block while they are still alive;
-        # only the compact SpectraMeta rides back in the pickled result.
-        def campaign_hook(label, result):
-            published["meta"] = publish_campaign(spec.block, result)
-            beat_heartbeat(spec.heartbeat_path)
+    if spec.keep_spectra:
 
-    elif spec.keep_spectra:
-        # Degraded data plane: the parent could not allocate this shard's
-        # shared block (/dev/shm exhausted), so the rows ride the pickle
-        # stream instead of failing the shard.
         def campaign_hook(label, result):
-            published["meta"] = pickle_campaign(result)
+            published["spectra"] = ShardSpectra.from_campaign(spec.config.grid(), result)
             beat_heartbeat(spec.heartbeat_path)
 
     try:
@@ -219,5 +249,5 @@ def run_shard(spec):
         is_memory_pair=is_memory_pair(op_x, op_y),
         activity=report.activities[label],
         metrics=telemetry.snapshot().to_dict(),
-        spectra=published.get("meta"),
+        spectra=published.get("spectra"),
     )

@@ -94,10 +94,6 @@ class ProgramTrace:
     def total_seconds(self):
         return float(sum(self.durations))
 
-    def phase_boundaries(self):
-        """Cumulative end time of each phase."""
-        return np.cumsum(self.durations)
-
 
 class ProgramSimulator:
     """Runs programs through the latency model into activity waveforms."""

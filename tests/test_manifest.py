@@ -26,6 +26,7 @@ from repro.errors import ManifestError
 from repro.survey import (
     DURABILITY_DEGRADED,
     MANIFEST_FORMAT,
+    SurveyLedger,
     SurveyManifest,
     plan_fingerprint,
     plan_shards,
@@ -37,9 +38,14 @@ from repro.survey.chaos import (
     count_records,
     manifest_disk_full,
     torn_manifest_tail,
+    truncate_manifest,
     well_behaved_shard,
 )
-from repro.survey.manifest import shard_result_from_dict, shard_result_to_dict
+from repro.survey.manifest import (
+    replay_ledger,
+    shard_result_from_dict,
+    shard_result_to_dict,
+)
 from repro.survey.shards import ShardResult
 from repro.telemetry import Recorder, Telemetry
 
@@ -288,3 +294,47 @@ class TestResume:
         assert recovered.n_completed == live.n_completed
         assert set(recovered.machines) == set(live.machines)
         assert "all shards completed cleanly" in recovered.ledger.to_text()
+
+
+# ----------------------------------------------------------------------
+# Compatibility: manifests journaled by earlier versions still load.
+
+
+class TestOldManifests:
+    def test_shm_fallback_note_still_loads_resumes_and_narrates(self, tmp_path):
+        """Earlier versions journaled an ``shm-fallback`` note when a
+        shard's shared-memory block could not be allocated, before any
+        shard ran. Such a manifest still opens, replays the note, resumes
+        to completion, and narrates the note offline and live."""
+        plan = _stub_plan(tmp_path)
+        manifest_dir = tmp_path / "manifest"
+        run_survey(**plan, shard_fn=well_behaved_shard, manifest_dir=manifest_dir)
+        victim = plan_shards(**plan)[0].shard_id
+        detail = (
+            "shared-memory allocation failed ([Errno 28] No space left on device); "
+            "this shard's spectra ride the pickle stream"
+        )
+        # A parent killed after journaling the note, before any shard finished.
+        truncate_manifest(manifest_dir, 0)
+        SurveyManifest(manifest_dir).open().append_ledger(
+            {"event": "note", "scope": victim, "note_kind": "shm-fallback", "detail": detail}
+        )
+
+        state = SurveyManifest(manifest_dir).open().load()
+        assert state.n_damaged == 0 and not state.results
+        replayed = SurveyLedger()
+        replay_ledger(replayed, state.ledger_events)
+        assert replayed.notes == [(victim, "shm-fallback", detail)]
+
+        offline = recover_survey_report(manifest_dir)
+        assert offline.n_completed == 0
+        assert f"shm-fallback {victim}: " in offline.ledger.to_text()
+
+        resumed = run_survey(**plan, shard_fn=well_behaved_shard, manifest_dir=manifest_dir)
+        assert resumed.n_completed == resumed.n_shards == 2
+        assert resumed.ledger.notes == [(victim, "shm-fallback", detail)]
+        assert f"shm-fallback {victim}: " in resumed.to_text()
+
+        recovered = recover_survey_report(manifest_dir)
+        assert recovered.n_completed == 2
+        assert recovered.ledger.notes == [(victim, "shm-fallback", detail)]

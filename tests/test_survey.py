@@ -20,6 +20,7 @@ import signal
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import FaseConfig, MicroOp, run_survey
@@ -29,12 +30,13 @@ from repro.errors import CampaignError, SurveyError
 from repro.runner import journal_dirname
 from repro.survey import (
     DEFAULT_PAIRS,
+    ShardSpectra,
     SurveyLedger,
     SurveyReport,
     plan_shards,
     run_shard,
 )
-from repro.survey.report import POOL_BREAK, SHARD_ERROR, WORKER_DEATH
+from repro.survey.report import POOL_BREAK, POOL_BREAK_CAP, SHARD_ERROR, WORKER_DEATH
 from repro.survey.shards import ShardResult
 from repro.telemetry import Recorder, Telemetry, read_jsonl
 
@@ -53,7 +55,7 @@ ONE_PAIR = ((MicroOp.LDM, MicroOp.LDL1),)
 # Stub shard functions (module-level: pool workers pickle them by name).
 
 
-def _stub_result(spec):
+def _stub_result(spec, spectra=None):
     return ShardResult(
         shard_id=spec.shard_id,
         machine=spec.machine,
@@ -66,6 +68,7 @@ def _stub_result(spec):
             activity_label="/".join(spec.pair), detections=[], harmonic_sets=[]
         ),
         metrics={"counters": {"captures_total": 5}, "gauges": {}, "histograms": {}},
+        spectra=spectra,
     )
 
 
@@ -111,6 +114,38 @@ def _error_shard(spec):
     if _is_victim(spec):
         raise CampaignError(f"synthetic shard error in {spec.shard_id}")
     return _stub_result(spec)
+
+
+def _rows(spec, fill):
+    """One row of ``fill`` on the shard's grid, when it keeps spectra."""
+    if not spec.keep_spectra:
+        return None
+    grid = spec.config.grid()
+    return ShardSpectra(
+        grid=grid,
+        power=np.full((1, grid.n_bins), fill),
+        falts=(1.0,),
+        labels=("row0",),
+        flagged=(False,),
+    )
+
+
+def _rows_then_kill_shard(spec):
+    """Every shard packs its rows; the victim then SIGKILLs its worker."""
+    _log_attempt(spec)
+    spectra = _rows(spec, fill=7.0)
+    if _is_victim(spec):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _stub_result(spec, spectra=spectra)
+
+
+def _rows_then_error_shard(spec):
+    """Every shard packs its rows; the victim then raises."""
+    _log_attempt(spec)
+    spectra = _rows(spec, fill=3.0)
+    if _is_victim(spec):
+        raise SurveyError(f"synthetic failure in {spec.shard_id}")
+    return _stub_result(spec, spectra=spectra)
 
 
 def _attempts(base, shard_id):
@@ -377,6 +412,106 @@ class TestWorkerDeath:
 
 
 # ----------------------------------------------------------------------
+# keep_spectra under shard failure: the survivors' rows still come home.
+
+
+class TestKeepSpectraFailures:
+    def _plan_args(self, base):
+        return dict(machines=MACHINES, pairs=ONE_PAIR, config=_scratch_config(base))
+
+    def _victim_id(self, base):
+        [victim_id] = [
+            s.shard_id for s in plan_shards(**self._plan_args(base)) if _is_victim(s)
+        ]
+        return victim_id
+
+    def test_sigkilled_shard_abandoned_survivor_rows_arrive(self, tmp_path):
+        """A worker SIGKILLed after packing its rows loses them with the
+        process; the healthy shard's rows still arrive in the report."""
+        report = run_survey(
+            **self._plan_args(tmp_path),
+            workers=2,
+            max_shard_retries=1,
+            keep_spectra=True,
+            shard_fn=_rows_then_kill_shard,
+        )
+        victim_id = self._victim_id(tmp_path)
+        assert victim_id in report.ledger.abandoned
+        [(shard_id, survivor)] = report.spectra.items()
+        assert shard_id != victim_id
+        assert np.array_equal(survivor.power[0], np.full(survivor.power.shape[1], 7.0))
+
+    def test_erroring_shard_abandoned_survivor_rows_arrive(self, tmp_path):
+        report = run_survey(
+            **self._plan_args(tmp_path),
+            workers=2,
+            max_shard_retries=0,
+            keep_spectra=True,
+            shard_fn=_rows_then_error_shard,
+        )
+        victim_id = self._victim_id(tmp_path)
+        assert victim_id in report.ledger.abandoned
+        [(shard_id, survivor)] = report.spectra.items()
+        assert shard_id != victim_id
+        assert np.array_equal(survivor.power[0], np.full(survivor.power.shape[1], 3.0))
+
+
+# ----------------------------------------------------------------------
+# The survey-wide pool-break cap.
+
+
+class TestPoolBreakCap:
+    def _plan_args(self, base):
+        # 4 bands x 2 machines = 8 shards, 4 of them kill-always victims:
+        # each shared round that meets a victim breaks the pool again.
+        return dict(
+            machines=MACHINES, pairs=ONE_PAIR, config=_scratch_config(base), bands=4
+        )
+
+    def test_repeated_breaks_hit_the_cap(self, tmp_path):
+        report = run_survey(
+            **self._plan_args(tmp_path),
+            workers=2,
+            max_shard_retries=0,
+            max_pool_breaks=1,
+            shard_fn=_kill_always_shard,
+        )
+        # The survey terminated (bounded SIGKILLs) and the budget overrun
+        # is ledgered with its own kind, distinct from worker-death.
+        capped = [f for f in report.ledger.failures if f.kind == POOL_BREAK_CAP]
+        assert capped, report.ledger.to_text()
+        assert all(not f.charged for f in capped)
+        for failure in capped:
+            assert failure.shard_id in report.ledger.abandoned
+            assert "break budget" in report.ledger.abandoned[failure.shard_id]
+        # Every shard is accounted for: completed or abandoned.
+        assert report.n_completed + len(report.ledger.abandoned) == report.n_shards
+        # Victims never exceed their per-shard attempt bound even while
+        # the cap is being hit (1 shared + retries+1 isolated).
+        for spec in plan_shards(**self._plan_args(tmp_path)):
+            path = Path(tmp_path) / f"{journal_dirname(spec.shard_id)}.attempts"
+            attempts = len(path.read_text().splitlines()) if path.exists() else 0
+            assert attempts <= 2
+
+    def test_generous_cap_never_engages(self, tmp_path):
+        report = run_survey(
+            **self._plan_args(tmp_path),
+            workers=2,
+            max_shard_retries=1,
+            max_pool_breaks=100,
+            shard_fn=_kill_always_shard,
+        )
+        assert not any(f.kind == POOL_BREAK_CAP for f in report.ledger.failures)
+        # All healthy shards completed; all victims were charged out.
+        assert report.n_completed == 4
+        assert len(report.ledger.abandoned) == 4
+
+    def test_bad_cap_rejected(self):
+        with pytest.raises(SurveyError, match="max_pool_breaks"):
+            run_survey(machines=MACHINES, config=SMALL, max_pool_breaks=-1)
+
+
+# ----------------------------------------------------------------------
 # CLI integration.
 
 
@@ -574,10 +709,11 @@ class TestLedgerText:
         assert "cancelled s: cancelled before start" in text
 
     def test_degradation_kinds_are_narrated(self):
-        """A survey that stalled a worker, lost /dev/shm, and then lost
-        its manifest must say all three — shard-scoped notes name the
+        """A survey that stalled a worker, replayed an ``shm-fallback``
+        note from an older manifest, and then lost its manifest must say
+        all three — shard-scoped notes name the
         shard, survey-wide notes say 'survey'."""
-        from repro.survey import DURABILITY_DEGRADED, SHARD_STALLED, SHM_FALLBACK
+        from repro.survey import DURABILITY_DEGRADED, SHARD_STALLED
 
         ledger = SurveyLedger()
         ledger.record_failure(
@@ -585,7 +721,7 @@ class TestLedgerText:
             "worker killed", failures=1,
         )
         ledger.record_note(
-            "s-shm", SHM_FALLBACK,
+            "s-shm", "shm-fallback",
             "shared-memory allocation failed; this shard's spectra ride the pickle stream",
         )
         ledger.record_note(
