@@ -8,7 +8,10 @@ per-trace ``np.interp`` reference path and once through the vectorized
 ``BENCH_scoring.json`` and asserts the engine is at least 3x faster while
 producing ``np.allclose``-identical scores and identical detections. The
 record also carries the engine's ``tracemalloc`` peak for one
-``all_scores`` call, the allocation high-water mark of streamed scoring.
+``all_scores`` call, the allocation high-water mark of streamed scoring,
+and ``zscore_s``: ``harmonic_zscores`` over the ten ``F_h``, whose bytes
+must equal the inline ``np.median`` formula's (timed beside it as
+``zscore_np_median_s``; no speed floor).
 """
 
 import json
@@ -29,6 +32,17 @@ def _best_of(fn, repeats=3):
         value = fn()
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def _np_median_zscore(score):
+    """The robust z-score as written before the single-selection median."""
+    log_score = np.log10(score)
+    median = float(np.median(log_score))
+    mad = float(np.median(np.abs(log_score - median)))
+    sigma = 1.4826 * mad
+    if sigma <= 0:
+        sigma = float(np.std(log_score)) or 1.0
+    return (log_score - median) / sigma
 
 
 def test_scoring_engine_speedup(i7_ldm_result, output_dir):
@@ -56,6 +70,16 @@ def test_scoring_engine_speedup(i7_ldm_result, output_dir):
         d.frequency for d in fast_detections
     ]
     assert len(fast_detections) >= 10
+
+    zscore_s, zscores = _best_of(
+        lambda: fast_scorer.harmonic_zscores(result, scores=fast_scores)
+    )
+    zscore_np_median_s, reference_zscores = _best_of(
+        lambda: {h: _np_median_zscore(score) for h, score in fast_scores.items()}
+    )
+    assert set(zscores) == set(reference_zscores)
+    for harmonic, z in zscores.items():
+        assert z.tobytes() == reference_zscores[harmonic].tobytes()
 
     tracemalloc.start()
     try:
@@ -85,6 +109,9 @@ def test_scoring_engine_speedup(i7_ldm_result, output_dir):
             "total_s": fast_total,
         },
         "speedup": speedup,
+        "zscore_s": zscore_s,
+        "zscore_np_median_s": zscore_np_median_s,
+        "zscores_identical": True,
         "scores_allclose": True,
         "detections_identical": True,
     }

@@ -151,7 +151,8 @@ class CarrierDetector:
                 scores = self.scorer.all_scores(result, cache=cache)
             else:
                 scores = self.scorer.all_scores(result)
-            zscores = self.scorer.harmonic_zscores(result, scores=scores)
+            with telemetry.span("zscore", stage="zscore", label=result.activity_label):
+                zscores = self.scorer.harmonic_zscores(result, scores=scores)
             combined = self.scorer.combined_zscore(result, zscores=zscores)
             smoothed = self._smooth(combined)
             # Thresholding/clustering run on the z-score, but the reported

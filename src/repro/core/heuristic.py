@@ -36,6 +36,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DetectionError
+from ..spectrum.peaks import robust_scale
 from ..telemetry import current_telemetry
 from .campaign import CampaignResult
 from .scoring import ShiftedPowerCache, shift_valid_mask
@@ -271,13 +272,11 @@ class HeuristicScorer:
         standard deviations (median absolute deviation scaled to sigma)
         above it. Normalizing per harmonic makes detection thresholds
         independent of the campaign's noise floor and averaging count.
+        The median is :func:`~repro.spectrum.peaks.exact_median`: the
+        same bytes as ``np.median`` from one selection pass.
         """
         log_score = np.log10(score_array)
-        median = float(np.median(log_score))
-        mad = float(np.median(np.abs(log_score - median)))
-        sigma = 1.4826 * mad
-        if sigma <= 0:
-            sigma = float(np.std(log_score)) or 1.0
+        median, sigma = robust_scale(log_score)
         return (log_score - median) / sigma
 
     def harmonic_zscores(self, result, scores=None, cache=None):

@@ -21,6 +21,8 @@ which captures every property the paper leans on:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import UnitsError
@@ -41,6 +43,13 @@ def pulse_harmonic_amplitude(harmonic, duty_cycle):
     n = abs(int(harmonic))
     if n == 0:
         return duty_cycle
+    return _sinc_amplitude(n, float(duty_cycle))
+
+
+@lru_cache(maxsize=4096)
+def _sinc_amplitude(n, duty_cycle):
+    """Memoized ``|c_n|`` for ``n >= 1``: emitters ask for the same few
+    ``(order, duty)`` pairs on every render."""
     return duty_cycle * abs(np.sinc(n * duty_cycle))
 
 

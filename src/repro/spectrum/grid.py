@@ -95,6 +95,11 @@ class FrequencyGrid:
     def __len__(self):
         return self.n_bins
 
+    def __reduce__(self):
+        # Rebuild from the three defining floats: the bin array is derived
+        # (n_bins float64s) and would otherwise ride along in every pickle.
+        return (type(self), (self.start, self.stop, self.resolution))
+
     def __eq__(self, other):
         if not isinstance(other, FrequencyGrid):
             return NotImplemented

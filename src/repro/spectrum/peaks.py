@@ -28,6 +28,48 @@ class Peak:
     score: float
 
 
+def exact_median(values):
+    """``np.median(values)``, byte for byte, from one single-kth selection.
+
+    ``np.median`` partitions at several kth at once (both middle ranks
+    plus the last element, for its NaN check), which falls off numpy's
+    SIMD select path. One ``np.partition`` at ``n // 2`` finds the upper
+    middle value; for even ``n`` the lower one is the maximum of the
+    lower half. The middle values are then averaged with ``np.mean``
+    over a slice of the partition, exactly as ``np.median`` does, so
+    even signed zeros come out the same. Empty or NaN-holding input is
+    left to ``np.median`` itself.
+    """
+    values = np.asarray(values)
+    n = values.size
+    if n == 0:
+        return np.median(values)
+    half = n // 2
+    part = np.partition(values.ravel(), half)
+    # Elements at and past ``half`` hold the sorted tail, where any NaN
+    # sorts, so their max is NaN exactly when the input holds one.
+    if np.isnan(part[half:].max()):
+        return np.median(values)
+    if n % 2:
+        return np.mean(part[half : half + 1])
+    part[half - 1] = part[:half].max()
+    return np.mean(part[half - 1 : half + 1])
+
+
+def robust_scale(values):
+    """``(median, sigma)`` of a series: its MAD scaled to a normal sigma.
+
+    A zero MAD (more than half the values tied) falls back to the
+    standard deviation, and a constant series to a sigma of 1.
+    """
+    median = float(exact_median(values))
+    mad = float(exact_median(np.abs(values - median)))
+    sigma = 1.4826 * mad
+    if sigma <= 0:
+        sigma = float(np.std(values)) or 1.0
+    return median, sigma
+
+
 def _validate_series(values, window):
     values = np.asarray(values, dtype=float)
     if values.ndim != 1:
@@ -93,11 +135,7 @@ def detect_peaks(values, window=3, n_sigma=6.0, min_value=None, min_separation=N
     positive = scores[scores > 0]
     if positive.size == 0:
         return []
-    median = float(np.median(scores))
-    mad = float(np.median(np.abs(scores - median)))
-    sigma = 1.4826 * mad
-    if sigma <= 0:
-        sigma = float(np.std(scores)) or 1.0
+    median, sigma = robust_scale(scores)
     threshold = median + n_sigma * sigma
     candidates = []
     for i in range(1, values.size - 1):

@@ -32,6 +32,8 @@ lines at the 128 kHz sub-harmonics, visible only close to the DIMMs. With
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import SystemModelError
@@ -47,6 +49,19 @@ DDR3_REFRESH_FREQUENCY = 128e3
 
 #: Approximate refresh command duration (tRFC-ish) used for the duty cycle.
 REFRESH_PULSE_SECONDS = 200e-9
+
+
+@lru_cache(maxsize=1024)
+def _rank_stagger_factor(n_ranks, rank_imbalance, order):
+    """Memoized :meth:`MemoryRefreshEmitter.rank_stagger_factor`, keyed by
+    value so a changed ``n_ranks`` or ``rank_imbalance`` never reads a
+    stale entry."""
+    if n_ranks == 1:
+        return 1.0
+    ranks = np.arange(n_ranks)
+    amplitudes = 1.0 + rank_imbalance * np.cos(2.0 * np.pi * ranks / n_ranks)
+    phases = np.exp(-2j * np.pi * order * ranks / n_ranks)
+    return float(np.abs(np.sum(amplitudes * phases)) / np.sum(amplitudes))
 
 
 class MemoryRefreshEmitter(Emitter):
@@ -110,12 +125,7 @@ class MemoryRefreshEmitter(Emitter):
         harmonic not divisible by n_ranks; the imbalance leaks weak lines
         at the sub-harmonics (the near-field-only 128 kHz comb).
         """
-        if self.n_ranks == 1:
-            return 1.0
-        ranks = np.arange(self.n_ranks)
-        amplitudes = 1.0 + self.rank_imbalance * np.cos(2.0 * np.pi * ranks / self.n_ranks)
-        phases = np.exp(-2j * np.pi * order * ranks / self.n_ranks)
-        return float(np.abs(np.sum(amplitudes * phases)) / np.sum(amplitudes))
+        return _rank_stagger_factor(self.n_ranks, self.rank_imbalance, order)
 
     def reference_level(self):
         # fundamental_dbm is specified for an idle system (strongest case).

@@ -72,6 +72,20 @@ class TestHarmonicAmplitude:
         with pytest.raises(UnitsError):
             pulse_harmonic_amplitude(1, -0.1)
 
+    def test_memoized_values_match_closed_form(self):
+        # Repeated calls (served from the memo) equal |c_n| = d |sinc(n d)|
+        # bit for bit, whether the duty is a float or a numpy scalar.
+        for duty in (0.3, np.float64(0.3), 0.0256):
+            for n in (1, 2, 3, -3, 7):
+                expected = duty * abs(np.sinc(abs(n) * duty))
+                for _ in range(2):
+                    assert pulse_harmonic_amplitude(n, duty) == expected
+
+    def test_invalid_duty_rejected_after_valid_calls(self):
+        pulse_harmonic_amplitude(2, 0.4)
+        with pytest.raises(UnitsError):
+            pulse_harmonic_amplitude(2, 1.4)
+
 
 class TestHarmonicVector:
     def test_matches_scalar(self):

@@ -95,6 +95,19 @@ class TestRankStaggering:
         assert emitter.rank_stagger_factor(4) == pytest.approx(1.0)
         assert emitter.rank_stagger_factor(8) == pytest.approx(1.0)
 
+    def test_stagger_factor_follows_changed_attributes(self):
+        # The factor is memoized by value, so an emitter whose ranks or
+        # imbalance change reads the new value, never a stale entry.
+        emitter = make_refresh(n_ranks=4, rank_imbalance=0.15)
+        before = emitter.rank_stagger_factor(1)
+        emitter.rank_imbalance = 0.3
+        assert emitter.rank_stagger_factor(1) == make_refresh(
+            n_ranks=4, rank_imbalance=0.3
+        ).rank_stagger_factor(1)
+        assert emitter.rank_stagger_factor(1) > before
+        emitter.n_ranks = 1
+        assert emitter.rank_stagger_factor(1) == 1.0
+
     def test_calibration_anchored_to_comb_line(self):
         """fundamental_dbm refers to the first strong comb line (512 kHz)."""
         emitter = make_refresh(n_ranks=4, fundamental_dbm=-122.0)

@@ -11,6 +11,10 @@ through the SHA-256 of its JSON text (``json`` writes floats with
 accumulation path (``clip_subscore=1e60``, so ``N * log10(clip) >= 250``)
 and one leave-one-out view (``scores_excluding(result, 2)``).
 
+The Fig. 17 campaign is pinned the same way: the Turion X2 laptop (built
+from ``default_rng(2)``) over the paper's "turion window", 0-1.2 MHz at
+50 Hz, measured with ``default_rng(3)`` under LDM/LDL1.
+
 A scoring or detection optimisation that reorders one float operation
 changes a digest here; "allclose" is not the contract.
 """
@@ -24,11 +28,12 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import MeasurementCampaign
-from repro.core.config import campaign_low_band
+from repro.core.config import FaseConfig, campaign_low_band
 from repro.core.detect import CarrierDetector
 from repro.core.heuristic import HeuristicScorer
 from repro.survey import DEFAULT_PAIRS
-from repro.system import corei7_desktop
+from repro.system import corei7_desktop, turionx2_laptop
+from repro.uarch import MicroOp
 
 PAIRS = {f"{op_x.name}/{op_y.name}": (op_x, op_y) for op_x, op_y in DEFAULT_PAIRS}
 
@@ -92,6 +97,22 @@ DIGESTS = {
     },
 }
 
+TURION_DIGESTS = {
+    "F+1": "1f29dabba612da4f2d98313fed3a996cfb4e128382c7bd95a1665667ba94821c",
+    "F-1": "3c389d79bafa4e74cb27d98f47a1dc81f156243e8cbfdf430725299e5400e332",
+    "F+2": "72965017deeda1888dbb78a437a182e56700f275b559906870aec2c81532f0ba",
+    "F-2": "70507eeb7b698fc4c6dc07a3da21604903d59441dafb17874c134087c001d198",
+    "F+3": "54514838df8e14cce44ad8b29f9faacefb3848252a49fc8e0d38d883cb76b3a8",
+    "F-3": "fcfbd500877408080b095b2f006fe775d4d3f220e70b3beed5bbe3703065e4ca",
+    "F+4": "3348507a28af5ad1bc71ae62459281ff702378c7732f612c794bec35955924f7",
+    "F-4": "118dd0df77afd93e09378dc0152d0ae88207ab933a9f0cb26479b3d61b3cdb17",
+    "F+5": "040c05b2c0b4e16e48f07e2a2e5d12b269ea3e501054cf089b5ef49c3ba27bd8",
+    "F-5": "5eb0a8e6924d04db70496823ca3cfa0b7f36161f13cf8686ce384b35594106f8",
+    "combined_z": "0149c94b53c7c89e73fa3d9bb50086a8b2e73b7c7de12c2bdcd45e7b59ed700e",
+    "evidence": "1b80e1add8306f98d21c03b1ef56602c49de5421b6f3fb21a2fbd32352ff4613",
+    "detections": "27b757971f062a8244f3fa20e81276802acb95255515923ef750a686f55f256e",
+}
+
 
 def _digest(array):
     assert array.dtype == np.float64
@@ -144,3 +165,12 @@ def score_digests(campaigns):
 
 def test_score_and_detection_digests(campaigns):
     assert score_digests(campaigns) == DIGESTS
+
+
+def test_fig17_turion_window_digests():
+    machine = turionx2_laptop(rng=np.random.default_rng(2))
+    config = FaseConfig(span_low=0.0, span_high=1.2e6, fres=50.0, name="turion window")
+    result = MeasurementCampaign(machine, config, rng=np.random.default_rng(3)).run(
+        MicroOp.LDM, MicroOp.LDL1, label="LDM/LDL1"
+    )
+    assert _score_digests(HeuristicScorer(), result) == TURION_DIGESTS

@@ -658,6 +658,26 @@ class TestRunFase:
         # Ambient pipeline restored after the run.
         assert current_telemetry() is NULL_TELEMETRY
 
+    def test_robust_zscores_profile_as_their_own_stage(self):
+        # The Eq. 1/2 kernel ("score") and the per-harmonic robust
+        # z-scores ("zscore") cost about the same, so --profile shows
+        # them as separate rows; the z-scores nest inside "detect".
+        rec = Recorder()
+        tel = Telemetry(sinks=[rec], profile=True)
+        run_fase(
+            StubMachine(),
+            pairs=[(MicroOp.LDM, MicroOp.LDL1)],
+            config=make_config(),
+            rng=np.random.default_rng(1),
+            telemetry=tel,
+        )
+        (zscore_span,) = rec.spans("zscore")
+        (detect_span,) = rec.spans("detect")
+        assert zscore_span["stage"] == "zscore"
+        assert zscore_span["parent_id"] == detect_span["span_id"]
+        assert tel.profiler.totals()["zscore"][0] == 1
+        assert "zscore" in tel.profiler.to_text()
+
     def test_run_fase_without_telemetry_leaves_report_field_none(self):
         report = run_fase(
             StubMachine(),
