@@ -1,4 +1,4 @@
-"""The durable job store: every lifecycle transition is journaled.
+"""The durable job store: every lifecycle transition is journaled once.
 
 The store is the service's single source of scheduling truth. Its state
 lives in two layers, both built on :mod:`repro.journalutil`'s
@@ -6,9 +6,12 @@ append-only, per-line-checksummed, fsync'd discipline:
 
 * ``store.jsonl`` — one record per lifecycle transition (``submit``,
   ``claim``, ``progress``, ``release``, ``skip``, ``cancel``,
-  ``cancelled``, ``complete``, ``restart``). Replaying it reconstructs
-  every job's pending/claimed/settled partition exactly, so a service
-  killed at an arbitrary point restarts with zero lost or duplicated
+  ``cancelled``, ``complete``, ``restart``). **Journal, then apply:** a
+  live transition appends its record, then folds it into memory through
+  :meth:`JobStore._apply` — the one function replay runs over the
+  journal, and the only one that moves shards between pending, claimed,
+  skipped and cancelled. So a service killed at an arbitrary point
+  restarts with exactly the partition it had: zero lost or duplicated
   work.
 * one :class:`~repro.survey.manifest.SurveyManifest` per job — the
   shard *results* and ledger, reusing the survey layer's crash-safe
@@ -16,7 +19,12 @@ append-only, per-line-checksummed, fsync'd discipline:
   *before* its ``progress`` record reaches the store journal, so a
   ``completed`` transition always has a durable result behind it; the
   reverse kill window (result durable, progress lost) merely re-marks
-  the shard completed from the manifest on replay.
+  the shard completed from the manifest on replay. What replay reads
+  here (a result, a charged failure count, an abandonment) the live
+  method sets right after its manifest write; the ledger journals by
+  the same rule (:class:`~repro.survey.manifest.JournaledLedger`), and
+  failures follow the survey engine's retry rule
+  (:meth:`~repro.survey.report.SurveyLedger.charge`).
 
 Orphan adoption falls out of shard purity: a claim whose worker died —
 or whose whole service process was SIGKILLed — is released back to
@@ -275,10 +283,11 @@ class JobStore:
     """The service's durable, multi-tenant job queue.
 
     Thread-safe: the worker fleet and the HTTP handlers share one store
-    under one lock. Every mutating method journals its transition before
-    the in-memory state reflects it, so the durable state never lags the
-    observable state. Append failures raise :class:`ServiceError` — a
-    job store that cannot persist transitions must not pretend to.
+    under one lock. Every mutating method journals its transition, then
+    applies it with replay's :meth:`_apply` (:meth:`_commit`), so the
+    durable state never lags the observable state. Append failures raise
+    :class:`ServiceError` — a job store that cannot persist transitions
+    must not pretend to.
     """
 
     def __init__(self, root, scheduler=None):
@@ -369,6 +378,11 @@ class JobStore:
     def _append(self, record):
         self._write(append_line, self.log_path, record)
         self._signal()
+
+    def _commit(self, record):
+        """Journal one transition, then apply it through replay's own path."""
+        self._append(record)
+        self._apply(record)
 
     # -- the change signal --------------------------------------------
 
@@ -464,14 +478,16 @@ class JobStore:
         return any_record
 
     def _apply(self, record):
+        """Fold one journaled transition into memory: replay and live alike."""
         kind = record.get("kind")
         if kind == "submit":
             self._admit(JobSpec.from_dict(record["job"]))
-        elif kind == "claim":
-            job = self.jobs.get(record["job_id"])
-            if job is None:
-                return
-            shard_id = record["shard_id"]
+            return
+        job = self.jobs.get(record.get("job_id"))
+        if job is None:
+            return  # a restart marker (informational), or an unknown job
+        shard_id = record.get("shard_id")
+        if kind == "claim":
             if shard_id in job.pending:
                 job.pending.remove(shard_id)
             if not job.settled(shard_id):
@@ -483,10 +499,6 @@ class JobStore:
             self._account_claim(job.spec.tenant, job, shard_id)
             self._count_worker(record["worker"], "claimed")
         elif kind == "progress":
-            job = self.jobs.get(record["job_id"])
-            if job is None:
-                return
-            shard_id = record["shard_id"]
             worker = record.get("worker")
             completed = record.get("status") == "completed"
             # The live ownership rule: a report never drops a peer's
@@ -500,12 +512,14 @@ class JobStore:
                 self._count_worker(worker, "completed" if completed else "failed")
                 if completed:
                     job.worker_shards[worker] = job.worker_shards.get(worker, 0) + 1
-            # Replay only repairs membership. A completed shard's result
-            # came back from the job's manifest in _admit (one torn away
-            # safely re-runs); a failure's count is NOT re-charged, since
-            # fail_shard made the cumulative count durable in the
-            # manifest ledger *before* this record and _admit restored it.
-            # The shard re-pends unless settled or held by a peer.
+            # This record only moves membership: a result and a charged
+            # failure count are manifest facts that complete_shard and
+            # fail_shard set, and that _admit restores on replay (a result
+            # torn away safely re-runs; a failure is never re-charged). A
+            # completed shard leaves pending (a reaped former owner's late
+            # result); any other re-pends unless settled or held by a peer.
+            if completed and shard_id in job.pending:
+                job.pending.remove(shard_id)
             if (
                 not job.settled(shard_id)
                 and shard_id not in job.claims
@@ -513,45 +527,29 @@ class JobStore:
             ):
                 job.pending.append(shard_id)
         elif kind == "release":
-            job = self.jobs.get(record["job_id"])
-            if job is None:
-                return
-            shard_id = record["shard_id"]
             job.claims.pop(shard_id, None)
             if record.get("worker"):
                 self._count_worker(record["worker"], "released")
             if job.state in (CANCELLING, CANCELLED):
-                # Mirror _release_locked: a claim released after the
-                # cancel joins the cancellation instead of resurrecting
-                # as pending (the ledger record was written live).
+                # A claim released after the cancel joins the
+                # cancellation instead of resurrecting as pending
+                # (_release_locked ledgers it after this record).
                 if not job.settled(shard_id):
                     job.cancelled_shards.add(shard_id)
             elif not job.settled(shard_id) and shard_id not in job.pending:
                 job.pending.append(shard_id)
         elif kind == "skip":
-            job = self.jobs.get(record["job_id"])
-            if job is None:
-                return
-            shard_id = record["shard_id"]
             if shard_id in job.pending:
                 job.pending.remove(shard_id)
             job.skipped.add(shard_id)
-        elif kind == "cancel":
-            job = self.jobs.get(record["job_id"])
-            if job is None or job.state in (COMPLETED, CANCELLED):
-                return
+        elif kind == "cancel" and job.state not in (COMPLETED, CANCELLED):
             job.cancelled_shards.update(job.pending)
             job.pending = []
             job.state = CANCELLING
         elif kind == "cancelled":
-            job = self.jobs.get(record["job_id"])
-            if job is not None:
-                job.state = CANCELLED
+            job.state = CANCELLED
         elif kind == "complete":
-            job = self.jobs.get(record["job_id"])
-            if job is not None:
-                job.state = COMPLETED
-        # restart / unknown kinds: informational or future; ignored.
+            job.state = COMPLETED
 
     def _count_worker(self, worker, key):
         counts = self._worker_counts.setdefault(
@@ -649,29 +647,24 @@ class JobStore:
     def _build(self, spec):
         """A job's full in-memory state, as far as its manifest knows it."""
         shard_specs, manifest, results, ledger = self._restore(spec)
-        job = _JobState(
+        return _JobState(
             spec=spec,
             shard_specs=shard_specs,
             manifest=manifest,
             ledger=ledger,
             events_path=self._events_path(spec.job_id),
             results=results,
+            failures=ledger.charged_failures(),
+            abandoned=set(ledger.abandoned),
+            # A prior run's cancellations are manifest history; the
+            # *store* journal decides whether they still stand (its
+            # cancel/cancelled records replay after this).
+            pending=[
+                s.shard_id
+                for s in shard_specs
+                if s.shard_id not in results and s.shard_id not in ledger.abandoned
+            ],
         )
-        for failure in ledger.failures:
-            if failure.charged:
-                job.failures[failure.shard_id] = max(
-                    job.failures.get(failure.shard_id, 0), failure.failures
-                )
-        job.abandoned.update(ledger.abandoned)
-        # A prior run's cancellations are manifest history; the *store*
-        # journal decides whether they still stand (its cancel/cancelled
-        # records replay after this).
-        job.pending = [
-            s.shard_id
-            for s in shard_specs
-            if s.shard_id not in job.results and s.shard_id not in job.abandoned
-        ]
-        return job
 
     def _admit(self, spec):
         job = self._build(spec)
@@ -761,14 +754,12 @@ class JobStore:
                     and shard_id not in job.funded
                     and not budget.can_fund(spec.machine, captures)
                 ):
-                    self._append({
+                    self._commit({
                         "kind": "skip",
                         "job_id": job.spec.job_id,
                         "shard_id": shard_id,
                         "detail": "tenant capture ceiling",
                     })
-                    job.pending.remove(shard_id)
-                    job.skipped.add(shard_id)
                     job.ledger.record_planned(
                         shard_id,
                         BUDGET_EXHAUSTED,
@@ -779,19 +770,13 @@ class JobStore:
                     self._emit_event(job, "shard-skipped", shard=shard_id)
                     self._maybe_finalize_locked(job)
                     continue
-                self._append({
+                self._commit({
                     "kind": "claim",
                     "job_id": job.spec.job_id,
                     "shard_id": shard_id,
                     "worker": worker,
                     "decision": self.decision + 1,
                 })
-                job.pending.remove(shard_id)
-                job.claims[shard_id] = worker
-                if job.state == QUEUED:
-                    job.state = RUNNING
-                self._account_claim(tenant, job, shard_id)
-                self._count_worker(worker, "claimed")
                 # A claim is proof of life: seed the liveness clock so a
                 # reap racing the worker's first heartbeat cannot release
                 # (and double-run) a shard the worker just accepted.
@@ -823,20 +808,14 @@ class JobStore:
             job = self._live_job(job_id)
             if shard_id not in job.results:
                 job.manifest.append_shard(result)
-            self._append({
+                job.results[shard_id] = result
+            self._commit({
                 "kind": "progress",
                 "job_id": job_id,
                 "shard_id": shard_id,
                 "status": "completed",
                 "worker": worker,
             })
-            if job.claims.get(shard_id) == worker:
-                del job.claims[shard_id]
-            if shard_id in job.pending:
-                job.pending.remove(shard_id)
-            job.results.setdefault(shard_id, result)
-            job.worker_shards[worker] = job.worker_shards.get(worker, 0) + 1
-            self._count_worker(worker, "completed")
             attrs = {"shard": shard_id, "worker": worker}
             if elapsed_s is not None:
                 attrs["elapsed_s"] = round(float(elapsed_s), 6)
@@ -856,14 +835,11 @@ class JobStore:
             if job.claims.get(shard_id) != worker:
                 return
             n = job.failures.get(shard_id, 0) + 1
-            job.ledger.record_failure(shard_id, kind, detail, failures=n)
-            if n <= job.spec.max_shard_retries:
-                job.ledger.record_requeue(shard_id)
-            else:
-                job.ledger.record_abandoned(
-                    shard_id, f"{kind} after {n} failure(s): {detail}"
-                )
-            self._append({
+            requeued = job.ledger.charge(shard_id, kind, detail, n, job.spec.max_shard_retries)
+            job.failures[shard_id] = n
+            if not requeued:
+                job.abandoned.add(shard_id)
+            self._commit({
                 "kind": "progress",
                 "job_id": job_id,
                 "shard_id": shard_id,
@@ -872,13 +848,6 @@ class JobStore:
                 "detail": detail,
                 "worker": worker,
             })
-            del job.claims[shard_id]
-            job.failures[shard_id] = n
-            self._count_worker(worker, "failed")
-            if n > job.spec.max_shard_retries:
-                job.abandoned.add(shard_id)
-            elif shard_id not in job.pending and not job.settled(shard_id):
-                job.pending.append(shard_id)
             self._emit_event(job, "shard-failed", shard=shard_id, kind=kind, failures=n)
             self._maybe_finalize_locked(job)
             self._offer_work_locked()
@@ -892,23 +861,18 @@ class JobStore:
             self._release_locked(job, shard_id, worker, detail)
 
     def _release_locked(self, job, shard_id, worker, detail):
-        self._append({
+        # The cancellation already claimed this job's future work; a
+        # released claim joins it instead of returning to pending.
+        joins_cancel = job.state == CANCELLING and not job.settled(shard_id)
+        self._commit({
             "kind": "release",
             "job_id": job.spec.job_id,
             "shard_id": shard_id,
             "worker": worker,
             "detail": detail,
         })
-        job.claims.pop(shard_id, None)
-        self._count_worker(worker, "released")
-        if job.state == CANCELLING:
-            # The cancellation already claimed this job's future work; a
-            # released claim joins it instead of returning to pending.
-            if not job.settled(shard_id):
-                job.cancelled_shards.add(shard_id)
-                job.ledger.record_cancelled(shard_id, _CANCEL_DETAIL)
-        elif not job.settled(shard_id) and shard_id not in job.pending:
-            job.pending.append(shard_id)
+        if joins_cancel:
+            job.ledger.record_cancelled(shard_id, _CANCEL_DETAIL)
         self._emit_event(job, "shard-released", shard=shard_id, detail=detail)
         self._maybe_finalize_locked(job)
         self._offer_work_locked()
@@ -925,12 +889,10 @@ class JobStore:
             job = self._job(job_id)
             if job.state in (COMPLETED, CANCELLED):
                 return job.state
-            self._append({"kind": "cancel", "job_id": job_id})
-            for shard_id in job.pending:
-                job.cancelled_shards.add(shard_id)
+            cancelled = list(job.pending)
+            self._commit({"kind": "cancel", "job_id": job_id})
+            for shard_id in cancelled:
                 job.ledger.record_cancelled(shard_id, _CANCEL_DETAIL)
-            job.pending = []
-            job.state = CANCELLING
             self._emit_event(job, "job-cancel-requested", n_in_flight=len(job.claims))
             self._maybe_finalize_locked(job)
             return job.state
@@ -940,12 +902,10 @@ class JobStore:
             if job.claims:
                 return
             if job.state == CANCELLING:
-                self._append({"kind": "cancelled", "job_id": job.spec.job_id})
-                job.state = CANCELLED
+                self._commit({"kind": "cancelled", "job_id": job.spec.job_id})
                 self._emit_event(job, "job-cancelled")
             elif not job.pending:
-                self._append({"kind": "complete", "job_id": job.spec.job_id})
-                job.state = COMPLETED
+                self._commit({"kind": "complete", "job_id": job.spec.job_id})
                 self._emit_event(
                     job,
                     "job-completed",
@@ -976,15 +936,15 @@ class JobStore:
         job = self._job(job_id)
         if isinstance(job, _JobState):
             return job
-        live = self._build(job.spec)
-        live.state = job.state
-        live.worker_shards = dict(job.workers)
-        live.n_events = job.n_events
-        live.pending = [sid for sid, state in job.shards.items() if state == "pending"]
-        live.skipped = {sid for sid, state in job.shards.items() if state == "skipped"}
-        live.cancelled_shards = {
-            sid for sid, state in job.shards.items() if state == "cancelled"
-        }
+        live = replace(
+            self._build(job.spec),
+            state=job.state,
+            worker_shards=dict(job.workers),
+            n_events=job.n_events,
+            pending=[sid for sid, state in job.shards.items() if state == "pending"],
+            skipped={sid for sid, state in job.shards.items() if state == "skipped"},
+            cancelled_shards={sid for sid, state in job.shards.items() if state == "cancelled"},
+        )
         self.jobs[job_id] = live
         return live
 

@@ -282,14 +282,10 @@ class _ShardQueue:
     def __init__(self, specs, max_shard_retries, ledger, telemetry):
         self.pending = list(specs)
         self.suspects = []
-        self.failures = {spec.shard_id: 0 for spec in specs}
         # A resumed survey's charged failures carry over: a shard that
         # burned retries before the crash gets no fresh budget.
-        for failure in ledger.failures:
-            if failure.charged and failure.shard_id in self.failures:
-                self.failures[failure.shard_id] = max(
-                    self.failures[failure.shard_id], failure.failures
-                )
+        carried = ledger.charged_failures()
+        self.failures = {spec.shard_id: carried.get(spec.shard_id, 0) for spec in specs}
         self.max_shard_retries = max_shard_retries
         self.pool_breaks = 0
         self.ledger = ledger
@@ -304,14 +300,10 @@ class _ShardQueue:
         """
         self.failures[spec.shard_id] += 1
         n = self.failures[spec.shard_id]
-        self.ledger.record_failure(spec.shard_id, kind, detail, failures=n)
-        if n <= self.max_shard_retries:
-            self.ledger.record_requeue(spec.shard_id)
+        if self.ledger.charge(spec.shard_id, kind, detail, n, self.max_shard_retries):
             (self.suspects if isolate else self.pending).append(spec)
             self.telemetry.event("shard-requeued", shard=spec.shard_id, kind=kind, failures=n)
         else:
-            reason = f"{kind} after {n} failure(s): {detail}"
-            self.ledger.record_abandoned(spec.shard_id, reason)
             self.telemetry.event("shard-abandoned", shard=spec.shard_id, kind=kind, failures=n)
 
     def requeue_uncharged(self, spec, detail, isolate=False):
@@ -463,6 +455,13 @@ def _is_cancelled(cancel_event):
     return cancel_event is not None and cancel_event.is_set()
 
 
+def _fork_context():
+    """The ``fork`` start method every engine pool uses."""
+    # Children inherit numpy.ma instead of each importing it at its first np.median.
+    import numpy.ma  # noqa: F401
+    return multiprocessing.get_context("fork")
+
+
 def execute_shard(shard_fn, spec, isolated=False, shard_timeout_s=None):
     """Run one shard; returns ``(result, None)`` or ``(None, (kind, detail))``.
 
@@ -475,7 +474,7 @@ def execute_shard(shard_fn, spec, isolated=False, shard_timeout_s=None):
     try:
         if not isolated and shard_timeout_s is None:
             return shard_fn(spec), None
-        context = multiprocessing.get_context("fork")
+        context = _fork_context()
         with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
             future = pool.submit(shard_fn, spec)
             return _await_or_kill(future, spec, pool, shard_timeout_s), None
@@ -558,7 +557,7 @@ def _run_parallel(
 ):
     # fork keeps worker startup cheap and lets test-injected shard
     # functions resolve in the children without re-import.
-    context = multiprocessing.get_context("fork")
+    context = _fork_context()
     while queue.pending or queue.suspects:
         if _is_cancelled(cancel_event):
             queue.cancel_remaining()

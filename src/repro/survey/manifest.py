@@ -218,38 +218,15 @@ class ManifestState:
 
 
 def replay_ledger(ledger, events):
-    """Apply restored ledger events to ``ledger`` via the base recorders.
+    """Apply restored ledger events to ``ledger``, in order.
 
-    Uses the unbound :class:`~repro.survey.report.SurveyLedger` methods
-    so replaying into a :class:`JournaledLedger` does not re-append the
-    events to the manifest. Unknown event kinds are ignored (forward
-    compatibility).
+    Goes through :meth:`~repro.survey.report.SurveyLedger.apply` — the
+    same fold the live recorders use — so replaying into a
+    :class:`JournaledLedger` does not re-append the events to the
+    manifest. Unknown event kinds are ignored (forward compatibility).
     """
     for event in events:
-        kind = event.get("event")
-        if kind == "failure":
-            SurveyLedger.record_failure(
-                ledger,
-                event["shard_id"],
-                event["failure_kind"],
-                event["detail"],
-                failures=int(event["failures"]),
-                charged=bool(event.get("charged", True)),
-            )
-        elif kind == "requeue":
-            SurveyLedger.record_requeue(ledger, event["shard_id"])
-        elif kind == "abandoned":
-            SurveyLedger.record_abandoned(ledger, event["shard_id"], event["detail"])
-        elif kind == "planned":
-            SurveyLedger.record_planned(
-                ledger, event["shard_id"], event["decision"], event["detail"]
-            )
-        elif kind == "note":
-            SurveyLedger.record_note(
-                ledger, event.get("scope"), event["note_kind"], event["detail"]
-            )
-        elif kind == "cancelled":
-            SurveyLedger.record_cancelled(ledger, event["shard_id"], event["detail"])
+        ledger.apply(event)
 
 
 class SurveyManifest:
@@ -472,57 +449,23 @@ class SurveyManifest:
 
 
 class JournaledLedger(SurveyLedger):
-    """A :class:`~repro.survey.report.SurveyLedger` whose every record is
-    mirrored into a :class:`SurveyManifest` as it happens — so a killed
-    survey's ledger replays exactly, requeue counts and abandonments
-    included. Restored events go through :func:`replay_ledger` (the base
-    recorders), never back through these mirrors.
+    """A :class:`~repro.survey.report.SurveyLedger` that journals as it records.
+
+    Every ``record_*`` builds one event and hands it to :meth:`_record`,
+    which applies it (the same :meth:`~repro.survey.report.SurveyLedger.apply`
+    a replay uses) and then appends it to the :class:`SurveyManifest` —
+    so a killed survey's ledger replays exactly, requeue counts and
+    abandonments included. Restored events go through
+    :func:`replay_ledger`, which applies without appending.
     """
 
     def __init__(self, manifest):
         super().__init__()
         self.manifest = manifest
 
-    def record_failure(self, shard_id, kind, detail, failures, charged=True):
-        super().record_failure(shard_id, kind, detail, failures=failures, charged=charged)
-        self.manifest.append_ledger(
-            {
-                "event": "failure",
-                "shard_id": shard_id,
-                "failure_kind": kind,
-                "detail": detail,
-                "failures": int(failures),
-                "charged": bool(charged),
-            }
-        )
-
-    def record_requeue(self, shard_id):
-        super().record_requeue(shard_id)
-        self.manifest.append_ledger({"event": "requeue", "shard_id": shard_id})
-
-    def record_abandoned(self, shard_id, detail):
-        super().record_abandoned(shard_id, detail)
-        self.manifest.append_ledger(
-            {"event": "abandoned", "shard_id": shard_id, "detail": detail}
-        )
-
-    def record_planned(self, shard_id, kind, detail):
-        super().record_planned(shard_id, kind, detail)
-        self.manifest.append_ledger(
-            {"event": "planned", "shard_id": shard_id, "decision": kind, "detail": detail}
-        )
-
-    def record_note(self, scope, kind, detail):
-        super().record_note(scope, kind, detail)
-        self.manifest.append_ledger(
-            {"event": "note", "scope": scope, "note_kind": kind, "detail": detail}
-        )
-
-    def record_cancelled(self, shard_id, detail):
-        super().record_cancelled(shard_id, detail)
-        self.manifest.append_ledger(
-            {"event": "cancelled", "shard_id": shard_id, "detail": detail}
-        )
+    def _record(self, event):
+        self.apply(event)
+        self.manifest.append_ledger(event)
 
 
 def recover_survey_report(manifest_dir):

@@ -86,25 +86,48 @@ class SurveyLedger:
     def failures_for(self, shard_id):
         return [f for f in self.failures if f.shard_id == shard_id]
 
+    def charged_failures(self):
+        """``{shard_id: charged failures so far}``: what a resumed run
+        carries over, so a shard that burned retries gets no fresh budget."""
+        counts = {}
+        for failure in self.failures:
+            if failure.charged:
+                counts[failure.shard_id] = max(counts.get(failure.shard_id, 0), failure.failures)
+        return counts
+
+    def charge(self, shard_id, kind, detail, failures, max_retries):
+        """The one retry rule: record a charged failure (``failures`` is
+        the count including this one), then a requeue while ``failures <=
+        max_retries`` — returns True — or an abandonment — returns False."""
+        self.record_failure(shard_id, kind, detail, failures=failures)
+        if failures <= max_retries:
+            self.record_requeue(shard_id)
+            return True
+        self.record_abandoned(shard_id, f"{kind} after {failures} failure(s): {detail}")
+        return False
+
     def record_failure(self, shard_id, kind, detail, failures, charged=True):
-        self.failures.append(
-            ShardFailure(
-                shard_id=shard_id, kind=kind, detail=detail, failures=failures, charged=charged
-            )
-        )
+        self._record({
+            "event": "failure",
+            "shard_id": shard_id,
+            "failure_kind": kind,
+            "detail": detail,
+            "failures": int(failures),
+            "charged": bool(charged),
+        })
 
     def record_requeue(self, shard_id):
-        self.requeues[shard_id] = self.requeues.get(shard_id, 0) + 1
+        self._record({"event": "requeue", "shard_id": shard_id})
 
     def record_abandoned(self, shard_id, detail):
-        self.abandoned[shard_id] = detail
+        self._record({"event": "abandoned", "shard_id": shard_id, "detail": detail})
 
     def record_planned(self, shard_id, kind, detail):
         """One terminal planner decision for a shard an adaptive survey
         did not run to full resolution (early stop, budget, pre-scan
         skip). Distinct from failures: nothing went wrong — the planner
         chose not to spend the captures, and says why."""
-        self.planned[shard_id] = (kind, detail)
+        self._record({"event": "planned", "shard_id": shard_id, "decision": kind, "detail": detail})
 
     def record_note(self, scope, kind, detail):
         """One graceful-degradation event (e.g. :data:`DURABILITY_DEGRADED`;
@@ -112,7 +135,7 @@ class SurveyLedger:
         as ``shm-fallback``). ``scope`` is a shard id, or ``None``
         for a survey-wide event. Notes are not failures: the survey kept
         running, just with one guarantee weakened — and says which."""
-        self.notes.append((scope, kind, detail))
+        self._record({"event": "note", "scope": scope, "note_kind": kind, "detail": detail})
 
     def record_cancelled(self, shard_id, detail):
         """One shard cooperative cancellation reached before it started.
@@ -121,7 +144,37 @@ class SurveyLedger:
         retry budget was spent — the caller asked the survey to stop, and
         this shard was still waiting. A cancelled shard re-runs normally
         when the same plan is resumed without the cancellation."""
-        self.cancelled[shard_id] = detail
+        self._record({"event": "cancelled", "shard_id": shard_id, "detail": detail})
+
+    def _record(self, event):
+        """Where every ``record_*`` lands; a journaled ledger also persists it."""
+        self.apply(event)
+
+    def apply(self, event):
+        """Fold one ledger event into the ledger: the live recorders and a
+        manifest replay both go through here. Unknown event kinds are
+        ignored (forward compatibility)."""
+        kind = event.get("event")
+        if kind == "failure":
+            self.failures.append(
+                ShardFailure(
+                    shard_id=event["shard_id"],
+                    kind=event["failure_kind"],
+                    detail=event["detail"],
+                    failures=int(event["failures"]),
+                    charged=bool(event.get("charged", True)),
+                )
+            )
+        elif kind == "requeue":
+            self.requeues[event["shard_id"]] = self.requeues.get(event["shard_id"], 0) + 1
+        elif kind == "abandoned":
+            self.abandoned[event["shard_id"]] = event["detail"]
+        elif kind == "planned":
+            self.planned[event["shard_id"]] = (event["decision"], event["detail"])
+        elif kind == "note":
+            self.notes.append((event.get("scope"), event["note_kind"], event["detail"]))
+        elif kind == "cancelled":
+            self.cancelled[event["shard_id"]] = event["detail"]
 
     def to_text(self):
         if not self.failures and not self.abandoned:

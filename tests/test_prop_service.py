@@ -18,17 +18,30 @@ Three invariant families back the service's scheduling claims:
 * **Replay determinism** — the same snapshot sequence reproduces the
   same decision sequence, across calls and across scheduler instances;
   aging guarantees every backlogged tenant is served in bounded time.
+
+One property runs the real :class:`JobStore` instead: after any random
+schedule of submits, claims, completions, failures, releases, cancels
+and reaps, a copy of the store's directory replayed from its journals
+alone must show the same job statuses, worker counters, fairness
+charges, decision clock and ledgers as the live store that wrote them.
 """
 
 from __future__ import annotations
 
 import copy
+import shutil
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.service import FairShareScheduler, TenantPolicy
+from repro import FaseConfig, MicroOp
+from repro.service import FairShareScheduler, JobStore, TenantPolicy
+from repro.survey.chaos import stub_result
+from repro.survey.report import _ledger_to_dict
 
 pytestmark = pytest.mark.service
 
@@ -236,3 +249,107 @@ def test_select_does_not_mutate_the_snapshot():
     frozen = copy.deepcopy(snapshot)
     scheduler.select(snapshot)
     assert snapshot == frozen
+
+
+# ----------------------------------------------------------------------
+# Live equals replay, on the real store.
+
+STORE_MACHINES = ("corei7_desktop", "turionx2_laptop")
+STORE_CONFIG = FaseConfig(
+    span_low=0.0, span_high=1e5, fres=50.0, falt1=43.3e3, f_delta=1e3, name="live vs replay"
+)
+STORE_TENANTS = ("ada", "bob", "cyd")
+#: ``cyd``'s capture ceiling funds two shards, so longer schedules skip.
+STORE_POLICIES = (TenantPolicy("cyd", max_captures=2 * len(STORE_CONFIG.falts())),)
+WORKERS = ("w0", "w1", "w2")
+
+#: One schedule step: ``(kind draw, argument)``. Kinds are picked by
+#: range below, weighted towards claims and completions so that jobs get
+#: to finish; the argument picks the tenant, worker, claim or job. Every
+#: schedule opens with a submit.
+_step = st.tuples(st.integers(0, 99), st.integers(0, 35))
+store_ops = st.builds(
+    lambda first, rest: [(0, first)] + rest,
+    st.integers(0, 35),
+    st.lists(_step, min_size=20, max_size=60),
+)
+_KINDS = (
+    (5, "submit"), (40, "claim"), (72, "complete"), (82, "fail"),
+    (88, "release"), (93, "cancel"), (100, "reap"),
+)
+
+
+def _store(root):
+    return JobStore(root, scheduler=FairShareScheduler(STORE_POLICIES))
+
+
+def _run_schedule(store, ops):
+    """Apply ``ops`` to ``store``; reports come only from claim holders."""
+    jobs = []
+    for draw, arg in ops:
+        kind = next(name for bound, name in _KINDS if draw < bound)
+        if kind == "submit":
+            n_machines, n_bands, retries = 1 + arg % 2, 1 + arg // 2 % 2, arg // 4 % 3
+            step = STORE_CONFIG.span_high / n_bands
+            jobs.append(store.submit(
+                tenant=STORE_TENANTS[arg // 12],
+                machines=STORE_MACHINES[:n_machines],
+                pairs=((MicroOp.LDM, MicroOp.LDL1),),
+                config=STORE_CONFIG,
+                bands=tuple((i * step, (i + 1) * step) for i in range(n_bands)),
+                max_shard_retries=retries,
+            ))
+        elif kind == "claim":
+            store.claim(WORKERS[arg % len(WORKERS)])
+        elif kind == "cancel":
+            if jobs:
+                store.cancel(jobs[arg % len(jobs)])
+        elif kind == "reap":
+            store.reap_stale_claims(max_age_s=3600.0, now=time.monotonic() + 7200.0)
+        else:
+            claims = sorted(
+                (job_id, shard_id, worker)
+                for job_id in jobs
+                for shard_id, worker in store.jobs[job_id].claims.items()
+            )
+            if not claims:
+                continue
+            job_id, shard_id, worker = claims[arg % len(claims)]
+            if kind == "complete":
+                spec = store.shard_spec(job_id, shard_id)
+                store.complete_shard(job_id, shard_id, stub_result(spec), worker)
+            elif kind == "fail":
+                store.fail_shard(job_id, shard_id, "error", f"boom {arg}", worker)
+            else:
+                store.release_shard(job_id, shard_id, worker, "worker shutting down")
+    return jobs
+
+
+def _observed(store, jobs):
+    liveness = ("last_heartbeat_unix", "heartbeat_age_s")
+    stats = {
+        worker: {key: value for key, value in counts.items() if key not in liveness}
+        for worker, counts in store.worker_stats().items()
+    }
+    return {
+        "status": {job_id: store.job_status(job_id) for job_id in jobs},
+        "ledgers": {job_id: _ledger_to_dict(store.job_report(job_id).ledger) for job_id in jobs},
+        "workers": stats,
+        "charged": dict(store.charged),
+        "decision": store.decision,
+    }
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.too_slow])
+@given(ops=store_ops)
+def test_replayed_store_equals_the_live_store(ops):
+    """Every transition the live store makes, its journal replays to the
+    same state: one apply path, so live and replay cannot drift apart."""
+    with tempfile.TemporaryDirectory() as scratch:
+        live_root, copy_root = Path(scratch) / "live", Path(scratch) / "copy"
+        live = _store(live_root).open(server_name="live")
+        jobs = _run_schedule(live, ops)
+        shutil.copytree(live_root, copy_root)
+        replayed = _store(copy_root)
+        replayed._replay()  # may append a finalize record; opens no claims
+        assert _observed(replayed, jobs) == _observed(live, jobs)

@@ -15,6 +15,7 @@ because this tier is their newest — and strictest — consumer.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -820,3 +821,118 @@ class TestWorkerFleet:
         for attrs in finished:
             assert attrs["worker"].startswith("worker-")
             assert attrs["elapsed_s"] >= 0.0
+
+
+# ----------------------------------------------------------------------
+# The journal bytes of one fixed schedule.
+
+#: A fixed config: the golden must not see the per-test scratch path.
+GOLDEN_CONFIG = FaseConfig(
+    span_low=0.0, span_high=1e5, fres=50.0, falt1=43.3e3, f_delta=1e3, name="journal golden"
+)
+
+#: SHA-256 of ``store.jsonl``, of every job's ``manifest.jsonl`` and of
+#: every job's report (sorted-key JSON minus ``telemetry``) after
+#: :func:`_golden_schedule`. Computed once; a refactor of the store or
+#: the ledger must reproduce them, not re-pin them.
+JOURNAL_GOLDEN = {
+    "store.jsonl": "40ee34aeade6e0eb76784eee9ca66a71861bd04ff99eeefac88bb75d423ca978",
+    "fail/manifest.jsonl": "3a847cf528e0f8d54daf01fdf168f572d476d872dceec6ba5a785d73668a8795",
+    "fail/report": "95b0c3b63bbc64b9532bba4a36b3749e7c56bf670d4baf5d03bc603acfe57c3b",
+    "release/manifest.jsonl": "dd6bb476e938708ce7747b299e062a1e57d152e9d631c7c76330b3822f61b95b",
+    "release/report": "18b1cd54e7cbe14cfbe426cfc42a0be0f99d0b3733606a25841cec885293d97f",
+    "capped/manifest.jsonl": "f2776dfa033f4dd2439cd83a7792bab9af2bd2c62d300253cfdf7b23009e22c9",
+    "capped/report": "aad16c645b0541598be513da00032b98c354565ee8be84d1121f2ec390997e1d",
+    "cancel/manifest.jsonl": "bb6c9e812ec99f27f9147af8fa923a11b6a5466664dcf3ad01321db810db52e6",
+    "cancel/report": "250384bc68f767958d71ea60e6af7a7d951ba8c6d9eb93a2a1888bdd242435cc",
+}
+
+
+def _golden_schedule(root):
+    """One deterministic direct-API schedule over every journaled transition.
+
+    Three tenants (carol's capture ceiling funds one shard, so the rest
+    of her job is skipped); alice's ``fail`` job fails one shard until it
+    is abandoned at ``max_shard_retries=1``; bob's first claim on his
+    ``release`` job is given back; and his ``cancel`` job is cancelled
+    with two claims in flight, one then released (it joins the
+    cancellation) and one completed. Workers alternate ``w0``/``w1``.
+    """
+    cost = len(GOLDEN_CONFIG.falts())
+    store = _open_store(root, policies=(TenantPolicy("carol", max_captures=cost),))
+
+    def submit(tenant, machines, bands=None, **kwargs):
+        return store.submit(
+            tenant=tenant, machines=machines, pairs=ONE_PAIR, config=GOLDEN_CONFIG,
+            bands=bands, **kwargs,
+        )
+
+    jobs = {
+        "fail": submit("alice", MACHINES, max_shard_retries=1),
+        "release": submit("bob", MACHINES[:1], bands=THREE_BANDS),
+        "capped": submit("carol", MACHINES),
+        "cancel": submit("bob", MACHINES[:1], bands=THREE_BANDS),
+    }
+    released = False
+    held = None  # the cancel job's first claim, kept in flight
+    step = 0
+    while True:
+        worker = f"w{step % 2}"
+        step += 1
+        claimed = store.claim(worker)
+        if claimed is None:
+            break
+        job_id, shard_id = claimed.job_id, claimed.spec.shard_id
+        if job_id == jobs["fail"] and claimed.spec.machine == MACHINES[0]:
+            store.fail_shard(job_id, shard_id, "error", f"boom at step {step}", worker)
+            continue
+        if job_id == jobs["release"] and not released:
+            released = True
+            store.release_shard(job_id, shard_id, worker, "worker shutting down")
+            continue
+        if job_id == jobs["cancel"] and held is None:
+            held = (claimed, worker)
+            continue
+        if job_id == jobs["cancel"] and store.job_state(job_id) != CANCELLING:
+            assert store.cancel(job_id) == CANCELLING
+            first, first_worker = held
+            store.release_shard(job_id, first.spec.shard_id, first_worker, "worker shutting down")
+        store.complete_shard(job_id, shard_id, stub_result(claimed.spec), worker)
+    return store, jobs
+
+
+def _golden_digests(root, store, jobs):
+    def sha(data):
+        return hashlib.sha256(data).hexdigest()
+
+    digests = {"store.jsonl": sha((root / "store.jsonl").read_bytes())}
+    for name, job_id in jobs.items():
+        manifest = root / "jobs" / job_id / "manifest" / "manifest.jsonl"
+        digests[f"{name}/manifest.jsonl"] = sha(manifest.read_bytes())
+        report = store.job_report(job_id).to_dict()
+        report.pop("telemetry")
+        digests[f"{name}/report"] = sha(json.dumps(report, sort_keys=True).encode("utf-8"))
+    return digests
+
+
+class TestJournalGolden:
+    def test_schedule_settles_every_job_as_planned(self, tmp_path):
+        store, jobs = _golden_schedule(tmp_path / "store")
+        states = {name: store.job_status(job_id) for name, job_id in jobs.items()}
+        assert {name: status["state"] for name, status in states.items()} == {
+            "fail": COMPLETED, "release": COMPLETED, "capped": COMPLETED, "cancel": CANCELLED,
+        }
+        assert sorted(states["fail"]["shards"].values()) == ["abandoned", "completed"]
+        assert states["fail"]["n_failures"] == 2
+        assert sorted(states["capped"]["shards"].values()) == ["completed", "skipped"]
+        assert sorted(states["cancel"]["shards"].values()) == [
+            "cancelled", "cancelled", "completed",
+        ]
+        assert store.worker_stats()["w0"]["released"] + store.worker_stats()["w1"][
+            "released"
+        ] == 2
+
+    def test_journal_and_report_bytes_match_pinned_digests(self, tmp_path):
+        root = tmp_path / "store"
+        store, jobs = _golden_schedule(root)
+        assert _golden_digests(root, store, jobs) == JOURNAL_GOLDEN

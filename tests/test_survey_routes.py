@@ -2,7 +2,10 @@
 
 One small fixed plan runs through every way the survey engine can
 execute it — inline, on the process pool, under the stall watchdog, with
-``keep_spectra``, and resumed from every record prefix of its manifest.
+``keep_spectra``, and resumed from every record prefix of its manifest —
+and through the campaign service: the in-process :class:`WorkerFleet`
+(read back through :meth:`JobStore.job_report`) and a hub-only
+:class:`FaseService` drained by one :class:`WorkerHost` over HTTP.
 Each route's :class:`~repro.survey.SurveyReport` is reduced to the
 SHA-256 of its JSON form minus the wall-clock ``telemetry`` block, and
 every digest must equal one pinned constant. The ``keep_spectra`` rows
@@ -19,11 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import threading
 
 import numpy as np
 import pytest
 
 from repro import FaseConfig, MicroOp, run_survey
+from repro.service import FaseService, JobStore, ServiceClient, WorkerFleet, WorkerHost
 from repro.survey.chaos import count_records, truncate_manifest
 
 pytestmark = pytest.mark.survey
@@ -127,3 +132,44 @@ def test_resume_from_every_manifest_prefix_matches(tmp_path):
         assert truncate_manifest(manifest_dir, keep) == keep
         resumed = run_survey(**PLAN, workers=1, manifest_dir=manifest_dir)
         assert report_digest(resumed) == REPORT_DIGEST, f"prefix of {keep} record(s)"
+
+
+def test_in_process_fleet_matches_pinned_digest(tmp_path):
+    """The service's in-process route: a store drained by its fleet."""
+    store = JobStore(tmp_path / "store").open()
+    job_id = store.submit("oracle", **PLAN)
+    fleet = WorkerFleet(store, workers=2).start()
+    try:
+        assert fleet.drain(timeout_s=120.0)
+    finally:
+        fleet.stop()
+    report = store.job_report(job_id)
+    assert report.n_completed == report.n_shards == len(MACHINES)
+    assert report_digest(report) == REPORT_DIGEST
+
+
+def test_hub_and_one_http_worker_host_match_pinned_digest(tmp_path):
+    """The service's remote route: a hub-only service with no local
+    workers, drained by one :class:`WorkerHost` speaking HTTP."""
+    with FaseService(tmp_path / "svc", workers=0) as service:
+        host, port = service.start()
+        url = f"http://{host}:{port}"
+        client = ServiceClient(url)
+        job_id = client.submit(
+            "oracle",
+            machines=list(MACHINES),
+            pairs=[[x.value, y.value] for x, y in ONE_PAIR],
+            config=CONFIG,
+            seed=PLAN["seed"],
+        )
+        worker = WorkerHost(url, name="host-a", poll_interval_s=0.05, max_shards=len(MACHINES))
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            assert client.wait(job_id, timeout_s=120.0)["state"] == "completed"
+        finally:
+            worker.stop()
+            thread.join(timeout=30.0)
+        report = client.result(job_id)
+    assert report.n_completed == report.n_shards == len(MACHINES)
+    assert report_digest(report) == REPORT_DIGEST
