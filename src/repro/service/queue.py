@@ -65,7 +65,7 @@ from ..errors import ServiceError
 from ..io import _config_from_dict, _config_to_dict
 from ..journalutil import append_line, atomic_write, ensure_line_boundary, iter_journal
 from ..runner import journal_dirname
-from ..survey.engine import plan_shards
+from ..survey.engine import plan_shards, refuse_repeated_shards
 from ..survey.manifest import JournaledLedger, SurveyManifest, plan_fingerprint, replay_ledger
 from ..survey.planner import CaptureBudget
 from ..survey.report import BUDGET_EXHAUSTED
@@ -604,7 +604,7 @@ class JobStore:
                 from ..system import ALL_PRESETS
 
                 spec = replace(spec, machines=tuple(sorted(ALL_PRESETS)))
-            spec.shard_plan()  # validate before anything is durable
+            refuse_repeated_shards(spec.shard_plan())  # validate before anything is durable
             self._append({"kind": "submit", "job": spec.to_dict()})
             job = self._admit(spec)
             self._emit_event(job, "job-submitted", tenant=tenant, n_shards=len(job.shard_specs))

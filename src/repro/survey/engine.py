@@ -269,6 +269,24 @@ def plan_shards(
     return tuple(specs)
 
 
+def refuse_repeated_shards(specs):
+    """Raise :class:`SurveyError` naming the first shard id ``specs`` repeats.
+
+    A repeated machine, pair or band, or two band labels that collide
+    under ``:g``, would run one shard id twice and count it twice.
+    Admission calls this; replay does not, so a journal that already
+    holds such a plan still loads.
+    """
+    seen = set()
+    for spec in specs:
+        if spec.shard_id in seen:
+            raise SurveyError(
+                f"the plan repeats shard {spec.shard_id}; "
+                "list each machine, pair and band once"
+            )
+        seen.add(spec.shard_id)
+
+
 class _ShardQueue:
     """Pending + suspect specs plus the per-shard failure accounting.
 
@@ -898,6 +916,7 @@ def run_survey(
         fault_classes=fault_classes,
         telemetry_dir=telemetry_dir,
     )
+    refuse_repeated_shards(specs)
     if telemetry_dir is not None:
         Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
     shard_fn = shard_fn or run_shard

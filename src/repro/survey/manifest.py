@@ -60,8 +60,8 @@ from ..journalutil import (
     append_line,
     atomic_write,
     checksum_record,
-    decode_line,
     ensure_line_boundary,
+    iter_journal,
 )
 from ..runner.journal import CAPTURE_FIELDS
 from .report import (
@@ -407,16 +407,14 @@ class SurveyManifest:
         if not self.log_path.exists():
             return state
         try:
-            raw_lines = self.log_path.read_bytes().split(b"\n")
+            entries = list(iter_journal(self.log_path))
         except OSError as exc:
             raise ManifestError(
                 f"manifest log at {str(self.log_path)!r} is unreadable: {exc}"
             ) from exc
-        lines = [line for line in raw_lines if line.strip()]
-        for position, line in enumerate(lines):
-            record = self._decode(line)
+        for record, is_last in entries:
             if record is None:
-                if position == len(lines) - 1:
+                if is_last:
                     state.torn_tail = True
                 else:
                     state.n_damaged += 1
@@ -442,10 +440,6 @@ class SurveyManifest:
                     state.outcomes[payload["shard_id"]] = payload
             # Unknown kinds: written by a future version; ignore.
         return state
-
-    @staticmethod
-    def _decode(line):
-        return decode_line(line)
 
 
 class JournaledLedger(SurveyLedger):

@@ -49,13 +49,12 @@ from ..core.campaign import CampaignResult, MeasurementCampaign
 from ..core.detect import CarrierDetector
 from ..core.harmonics import group_harmonics
 from ..core.heuristic import HeuristicScorer, IncrementalEvidence
-from ..core.pipeline import is_memory_pair
 from ..core.report import ActivityReport
 from ..errors import SurveyError
 from ..rng import child_rng
 from ..telemetry import JsonlSink, Telemetry, record_campaign_ledger, use_telemetry
 from .report import BUDGET_EXHAUSTED, EARLY_STOPPED, PRESCAN_SKIPPED, SurveyLedger
-from .shards import ShardResult, _shard_setup, beat_heartbeat
+from .shards import _shard_result, _shard_setup, beat_heartbeat
 
 #: Statuses a funded adaptive shard can finish with.
 COMPLETED = "completed"
@@ -438,22 +437,11 @@ def run_shard_adaptive(spec, planner, detector=None):
                 )
     finally:
         telemetry.close()
-    shard_result = ShardResult(
-        shard_id=spec.shard_id,
-        machine=spec.machine,
-        machine_name=machine.name,
-        config_description=spec.config.describe(),
-        pair_label=label,
-        band=spec.band,
-        is_memory_pair=is_memory_pair(op_x, op_y),
-        activity=activity,
-        metrics=telemetry.snapshot().to_dict(),
-    )
     used = stopped_after if stopped_after is not None else n_total
     return AdaptiveShardOutcome(
         shard_id=spec.shard_id,
         status=EARLY_STOPPED if stopped_after is not None else COMPLETED,
-        result=shard_result,
+        result=_shard_result(spec, machine, activity, telemetry),
         captures_used=used,
         captures_total=n_total,
         stopped_after=stopped_after,

@@ -200,6 +200,27 @@ def _shard_setup(spec):
     return preset, make_rng(spec.seed), op_x, op_y, pair_label(op_x, op_y)
 
 
+def _shard_result(spec, machine, activity, telemetry, spectra=None):
+    """The :class:`ShardResult` of a finished shard, exhaustive or adaptive.
+
+    Every identity field is derived here, from the spec and the machine
+    the shard built; ``metrics`` is the shard's closed telemetry snapshot.
+    """
+    op_x, op_y = (MicroOp(value) for value in spec.pair)
+    return ShardResult(
+        shard_id=spec.shard_id,
+        machine=spec.machine,
+        machine_name=machine.name,
+        config_description=spec.config.describe(),
+        pair_label=pair_label(op_x, op_y),
+        band=spec.band,
+        is_memory_pair=is_memory_pair(op_x, op_y),
+        activity=activity,
+        metrics=telemetry.snapshot().to_dict(),
+        spectra=spectra,
+    )
+
+
 def run_shard(spec):
     """Run one survey shard end to end; returns a :class:`ShardResult`.
 
@@ -239,15 +260,6 @@ def run_shard(spec):
         )
     finally:
         telemetry.close()
-    return ShardResult(
-        shard_id=spec.shard_id,
-        machine=spec.machine,
-        machine_name=machine.name,
-        config_description=spec.config.describe(),
-        pair_label=label,
-        band=spec.band,
-        is_memory_pair=is_memory_pair(op_x, op_y),
-        activity=report.activities[label],
-        metrics=telemetry.snapshot().to_dict(),
-        spectra=published.get("spectra"),
+    return _shard_result(
+        spec, machine, report.activities[label], telemetry, spectra=published.get("spectra")
     )

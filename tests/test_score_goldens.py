@@ -11,6 +11,13 @@ through the SHA-256 of its JSON text (``json`` writes floats with
 accumulation path (``clip_subscore=1e60``, so ``N * log10(clip) >= 250``)
 and one leave-one-out view (``scores_excluding(result, 2)``).
 
+The Fig. 11/13 source groups of the same i7 campaign are pinned too: the
+harmonic sets :func:`group_harmonics` forms from each pair's detections,
+and the sources :func:`classify_sources` fuses from both pairs. Each is
+the SHA-256 of its JSON text, carrying every fundamental, order and
+member frequency, and each source's fingerprint, mechanism and
+modulating labels.
+
 The Fig. 17 campaign is pinned the same way: the Turion X2 laptop (built
 from ``default_rng(2)``) over the paper's "turion window", 0-1.2 MHz at
 50 Hz, measured with ``default_rng(3)`` under LDM/LDL1.
@@ -28,8 +35,10 @@ import numpy as np
 import pytest
 
 from repro.core.campaign import MeasurementCampaign
+from repro.core.classify import classify_sources
 from repro.core.config import FaseConfig, campaign_low_band
 from repro.core.detect import CarrierDetector
+from repro.core.harmonics import group_harmonics
 from repro.core.heuristic import HeuristicScorer
 from repro.survey import DEFAULT_PAIRS
 from repro.system import corei7_desktop, turionx2_laptop
@@ -95,6 +104,12 @@ DIGESTS = {
         "F+5": "a6fed08be99fc43d24bfa4f7a16290548053095018565421d3da6220a56892f2",
         "F-5": "037f1eaa3ab9e813c26a419e9e841b5dee8eb11cf7a53781349aa5b885bda06f",
     },
+}
+
+SOURCE_DIGESTS = {
+    "LDM/LDL1": "b6e81255da9d62a0f799df7f035311416b82b0274fa3d37359121ba260e7439e",
+    "LDL2/LDL1": "6af95f9558133286053722fd530b05594ca1f1d78042ac9dc6e9dc619dc87297",
+    "sources": "23e6c6ec070259595808f4610fabff8683b96c3d35719a3c76cd250f5b9693e6",
 }
 
 TURION_DIGESTS = {
@@ -165,6 +180,44 @@ def score_digests(campaigns):
 
 def test_score_and_detection_digests(campaigns):
     assert score_digests(campaigns) == DIGESTS
+
+
+def _json_digest(rows):
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _set_rows(harmonic_set):
+    return [
+        harmonic_set.fundamental,
+        [[order, member.frequency] for order, member in harmonic_set.members],
+    ]
+
+
+def source_digests(campaigns):
+    """Harmonic sets per pair and the fused sources, keyed as in :data:`SOURCE_DIGESTS`."""
+    sets = {
+        label: group_harmonics(CarrierDetector().detect(result))
+        for label, result in campaigns.items()
+    }
+    digests = {
+        label: _json_digest([_set_rows(s) for s in pair_sets]) for label, pair_sets in sets.items()
+    }
+    digests["sources"] = _json_digest(
+        [
+            [
+                _set_rows(source.harmonic_set),
+                source.fingerprint,
+                source.mechanism,
+                list(source.modulating_labels),
+            ]
+            for source in classify_sources(sets)
+        ]
+    )
+    return digests
+
+
+def test_fig11_fig13_source_group_digests(campaigns):
+    assert source_digests(campaigns) == SOURCE_DIGESTS
 
 
 def test_fig17_turion_window_digests():

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from repro import FaseConfig, MicroOp
-from repro.errors import ServiceError
+from repro.errors import ServiceError, SurveyError
 from repro.journalutil import (
     append_line,
     checksum_record,
@@ -43,6 +43,7 @@ from repro.service import (
     TenantPolicy,
     WorkerFleet,
 )
+import repro.service.queue as queue_module
 from repro.survey.chaos import count_attempts, log_attempt, stub_result, well_behaved_shard
 from repro.survey.report import BUDGET_EXHAUSTED
 
@@ -51,6 +52,7 @@ pytestmark = pytest.mark.service
 MACHINES = ("corei7_desktop", "turionx2_laptop")
 ONE_PAIR = ((MicroOp.LDM, MicroOp.LDL1),)
 THREE_BANDS = ((0.0, 3e4), (3e4, 6e4), (6e4, 9e4))
+EIGHT_BANDS = tuple((i * 1.25e4, (i + 1) * 1.25e4) for i in range(8))
 
 
 def _scratch_config(base):
@@ -419,6 +421,27 @@ class TestJobStore:
         with pytest.raises(ServiceError, match="tenant"):
             store.submit(tenant="", machines=MACHINES[:1])
 
+    def test_repeated_band_refused_before_anything_is_journaled(self, tmp_path):
+        root = tmp_path / "store"
+        store = _open_store(root)
+        with pytest.raises(SurveyError, match="repeats shard corei7_desktop:LDM/LDL1:0-0.03MHz"):
+            _submit(store, tmp_path, machines=MACHINES[:1], bands=THREE_BANDS[:1] * 2)
+        journal = root / "store.jsonl"
+        records = list(iter_journal(journal)) if journal.exists() else []
+        assert all(record["kind"] != "submit" for record, _ in records)
+        assert list(_open_store(root).job_ids()) == []
+
+    def test_journaled_repeated_band_still_replays(self, tmp_path, monkeypatch):
+        # A store journal written before admission refused repeated bands
+        # still opens: the refusal is not on the replay path.
+        root = tmp_path / "store"
+        monkeypatch.setattr(queue_module, "refuse_repeated_shards", lambda specs: None)
+        job_id = _submit(
+            _open_store(root), tmp_path, machines=MACHINES[:1], bands=THREE_BANDS[:1] * 2
+        )
+        monkeypatch.undo()
+        assert _open_store(root).job_status(job_id)["state"] == QUEUED
+
     def test_foreign_store_format_rejected(self, tmp_path):
         root = tmp_path / "store"
         root.mkdir()
@@ -602,6 +625,34 @@ class TestScheduling:
         with pytest.raises(ServiceError, match="aging_decisions"):
             FairShareScheduler((), aging_decisions=0)
 
+    def test_select_over_64_tenants_stays_under_5_ms(self):
+        # A generous budget for a noisy runner, tight enough that an
+        # accidental O(n^2) or a stray sleep in the decision fails.
+        n_tenants = 64
+        scheduler = FairShareScheduler(
+            tuple(
+                TenantPolicy(f"t{i:03d}", weight=1.0 + (i % 7), priority=i % 3)
+                for i in range(n_tenants)
+            )
+        )
+        snapshot = {
+            "decision": 1000,
+            "tenants": {
+                f"t{i:03d}": {
+                    "live_claims": i % 4,
+                    "charged": i * 3,
+                    "last_claim_decision": 1000 - i,
+                    "jobs": [{"job_id": f"job-{i:03d}", "has_pending": True}],
+                }
+                for i in range(n_tenants)
+            },
+        }
+        n_decisions = 2000
+        start = time.perf_counter()
+        for _ in range(n_decisions):
+            assert scheduler.select(snapshot) is not None
+        assert (time.perf_counter() - start) / n_decisions < 0.005
+
 
 # ----------------------------------------------------------------------
 # Stub shard body for the heartbeat-collision regression (module-level
@@ -766,6 +817,30 @@ class TestWorkerFleet:
         finally:
             fleet.stop()
         assert store.reap_calls <= 2
+
+        # The same bound on a short interval, across a 16-shard drain and
+        # an idle stretch: the sweep count tracks wall-clock /
+        # (reap_after_s / 2); the per-poll tax it replaced lands in the
+        # hundreds.
+        store = _open_store(tmp_path / "draining")
+        _submit(store, tmp_path, bands=EIGHT_BANDS)
+        reap_after_s = 0.5
+        fleet = WorkerFleet(
+            store,
+            workers=4,
+            shard_fn=stub_result,
+            poll_interval_s=0.005,
+            reap_after_s=reap_after_s,
+        )
+        start = time.perf_counter()
+        fleet.start()
+        try:
+            assert fleet.drain(timeout_s=120.0)
+            time.sleep(0.5)  # polling continues, work doesn't
+        finally:
+            fleet.stop()
+        elapsed = time.perf_counter() - start
+        assert store.reap_calls <= int(elapsed / (reap_after_s / 2.0)) + 3
 
     def test_job_report_matches_survey_aggregation(self, tmp_path):
         store = _open_store(tmp_path / "store")

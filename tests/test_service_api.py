@@ -151,6 +151,11 @@ class TestServiceErrors:
         with pytest.raises(ServiceError, match="400"):
             client.submit("alice", machines=["pdp11"])
 
+    def test_repeated_band_is_400(self, service):
+        client = self._client(service)
+        with pytest.raises(ServiceError, match="400.*repeats shard"):
+            client.submit("alice", machines=["corei7_desktop"], bands=[[0, 5e5], [0, 5e5]])
+
     def test_invalid_json_body_is_400(self, service):
         host, port = service.address
         request = urllib.request.Request(

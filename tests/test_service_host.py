@@ -13,6 +13,11 @@ a job to its terminal state while the fleet is still appending.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
+import signal
+import subprocess
+import sys
 import threading
 import time
 import urllib.parse
@@ -449,3 +454,61 @@ class TestEventStreaming:
             stream = _client(service).stream_events("job-999999")
             with pytest.raises(ServiceError, match="404"):
                 next(stream)
+
+
+# ----------------------------------------------------------------------
+# Scaling: two real-shard hosts drain one backlog faster than one.
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+#: Small but real: a 2000-bin grid with a populated low band.
+REAL_CONFIG = FaseConfig(
+    span_low=0.0, span_high=1e6, fres=500.0, falt1=43.3e3, f_delta=2.5e3,
+    name="worker host scaling",
+)
+SIX_BANDS = [[i * 1e6 / 6.0, (i + 1) * 1e6 / 6.0] for i in range(6)]
+
+
+def _drain_with_hosts(root, n_hosts):
+    """Wall-clock for ``n_hosts`` ``fase worker`` processes to drain six shards."""
+    with FaseService(root, workers=0, reap_after_s=5.0) as service:
+        service.start()
+        client = _client(service)
+        job_id = client.submit(
+            "alice", machines=["corei7_desktop"], pairs=PAIR_NAMES,
+            config=REAL_CONFIG, bands=SIX_BANDS,
+        )
+        processes = [
+            subprocess.Popen(
+                [
+                    sys.executable, "-m", "repro", "worker",
+                    "--connect", _url(service), "--name", f"host-{i}",
+                    "--poll-interval", "0.02", "--idle-exit", "2.0", "--quiet",
+                ],
+                env={**os.environ, "PYTHONPATH": str(SRC)},
+            )
+            for i in range(n_hosts)
+        ]
+        start = time.perf_counter()
+        try:
+            status = client.wait(job_id, timeout_s=600.0)
+            elapsed = time.perf_counter() - start
+        finally:
+            for process in processes:
+                if process.poll() is None:
+                    process.send_signal(signal.SIGTERM)
+            for process in processes:
+                process.wait(timeout=30.0)
+        assert status["state"] == "completed"
+        assert status["n_completed"] == len(SIX_BANDS)
+        assert sum(status["workers"].values()) == len(SIX_BANDS)
+        return elapsed
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4,
+    reason="two real-shard hosts time-slice each other below 4 cores",
+)
+def test_two_hosts_drain_a_backlog_at_least_1_5x_faster(tmp_path):
+    one = _drain_with_hosts(tmp_path / "one", 1)
+    two = _drain_with_hosts(tmp_path / "two", 2)
+    assert one / two >= 1.5

@@ -223,6 +223,22 @@ class TestRunSurveyValidation:
         with pytest.raises(SurveyError, match="max_shard_retries"):
             run_survey(machines=MACHINES, config=SMALL, max_shard_retries=-1)
 
+    @pytest.mark.parametrize(
+        "bands, shard_id",
+        [
+            ([(0, 5e5), (0, 5e5)], "corei7_desktop:LDM/LDL1:0-0.5MHz"),
+            # Distinct spans whose MHz labels collide under ``:g``.
+            ([(0, 1.0000001e5), (0, 1.0000002e5)], "corei7_desktop:LDM/LDL1:0-0.1MHz"),
+        ],
+    )
+    def test_repeated_shard_ids_refused(self, bands, shard_id):
+        # Regression: a repeated band planned one shard id twice, and the
+        # report read "(2/4 shards)" beside "all shards completed cleanly".
+        with pytest.raises(SurveyError, match=f"repeats shard {shard_id}"):
+            run_survey(
+                machines=["corei7_desktop"], config=SMALL, bands=bands, shard_fn=_stub_result
+            )
+
 
 # ----------------------------------------------------------------------
 # The real pipeline: serial == process-parallel, structure, telemetry.
