@@ -242,9 +242,7 @@ class FaseService:
         a host that keeps asking for work is by definition alive, even
         between shards.
         """
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError("a claim needs a non-empty worker name")
+        worker = _worker_name(body, "a claim")
         wait_s = min(max(float(body.get("wait_s") or 0.0), 0.0), self.stream_keepalive_s)
         self.store.worker_heartbeat(worker)
         claimed, _ = self.store._claim_after(worker, None, wait_s, stop=self._stopping)
@@ -260,9 +258,7 @@ class FaseService:
         }
 
     def report_result(self, job_id, shard_id, body):
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError("a shard report needs a non-empty worker name")
+        worker = _worker_name(body, "a shard report")
         data = body.get("result")
         if not isinstance(data, dict):
             raise ServiceError("a shard result report needs a 'result' object")
@@ -283,9 +279,7 @@ class FaseService:
         return {"job_id": job_id, "shard_id": shard_id, "state": self.store.job_state(job_id)}
 
     def report_failure(self, job_id, shard_id, body):
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError("a shard report needs a non-empty worker name")
+        worker = _worker_name(body, "a shard report")
         self.store.shard_spec(job_id, shard_id)
         self.store.fail_shard(
             job_id,
@@ -297,9 +291,7 @@ class FaseService:
         return {"job_id": job_id, "shard_id": shard_id, "state": self.store.job_state(job_id)}
 
     def release_claim(self, job_id, shard_id, body):
-        worker = body.get("worker")
-        if not worker or not isinstance(worker, str):
-            raise ServiceError("a release needs a non-empty worker name")
+        worker = _worker_name(body, "a release")
         self.store.shard_spec(job_id, shard_id)
         self.store.release_shard(
             job_id,
@@ -308,6 +300,14 @@ class FaseService:
             str(body.get("detail") or "released by its worker host"),
         )
         return {"job_id": job_id, "shard_id": shard_id, "state": self.store.job_state(job_id)}
+
+
+def _worker_name(body, what):
+    """The request's ``worker`` field; ``what`` names the request in the error."""
+    worker = body.get("worker")
+    if not worker or not isinstance(worker, str):
+        raise ServiceError(f"{what} needs a non-empty worker name")
+    return worker
 
 
 def _make_handler(service):

@@ -585,9 +585,8 @@ class JobStore:
         if not tenant or not isinstance(tenant, str):
             raise ServiceError("a job needs a non-empty tenant name")
         with self._lock:
-            self._seq += 1
             spec = JobSpec(
-                job_id=f"job-{self._seq:06d}",
+                job_id=f"job-{self._seq + 1:06d}",
                 tenant=tenant,
                 machines=tuple(machines) if machines else None,
                 pairs=tuple(
@@ -667,6 +666,13 @@ class JobStore:
         )
 
     def _admit(self, spec):
+        # The id is spent once its submit record is journaled, even if
+        # building the job fails below; monotonic across restarts too.
+        try:
+            seq = int(spec.job_id.rsplit("-", 1)[1])
+            self._seq = max(self._seq, seq)
+        except (IndexError, ValueError):
+            pass
         job = self._build(spec)
         self.jobs[spec.job_id] = job
         self._unsettled[spec.job_id] = job
@@ -677,12 +683,6 @@ class JobStore:
         # priority class on its first claim. setdefault keeps genuine
         # claim history (and replay) authoritative.
         self.last_claim_decision.setdefault(spec.tenant, self.decision)
-        # Keep the id sequence monotonic across restarts.
-        try:
-            seq = int(spec.job_id.rsplit("-", 1)[1])
-            self._seq = max(self._seq, seq)
-        except (IndexError, ValueError):
-            pass
         return job
 
     # -- scheduling ---------------------------------------------------

@@ -44,6 +44,14 @@ watchdog is armed there, the shared pool above. Outside the shared pool
 every shard runs through one executor, :func:`execute_shard`, which the
 service's worker loops call too.
 
+Every pool — a shared round, an isolated suspect, a watched shard — is
+one loop, :func:`_pool_round`: it submits in a window of ``workers``,
+runs the heartbeat-extended stall sweep (killing the pool when a shard
+stalls), salvages the window after a break, and hands each shard's fate
+to its caller's ``settle`` the moment it is known. The shared round maps
+those fates onto the retry ledger; :func:`execute_shard` maps them onto
+its ``(result, failure)`` pair.
+
 A shard result is a pure function of ``(seed, shard_id)`` (see
 :mod:`~repro.survey.shards`), so ``workers=1`` — which runs shards
 inline, no pool — produces detections identical to any process-parallel
@@ -62,7 +70,6 @@ import os
 import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import replace
@@ -405,13 +412,14 @@ class _ManifestResults(dict):
 
 
 # ----------------------------------------------------------------------
-# The stall watchdog. A *hung* worker (SIGSTOP, a wedged syscall, an
-# NFS stall) never breaks the pool, so without deadlines it wedges the
-# survey forever — only worker *death* raises BrokenProcessPool.
+# The one pool loop. A *hung* worker (SIGSTOP, a wedged syscall, an NFS
+# stall) never breaks a pool, so without deadlines it wedges the survey
+# forever — only worker *death* raises BrokenProcessPool.
 
-
-class _ShardStalled(Exception):
-    """Internal: an isolated shard blew its wall-clock deadline."""
+#: Fates :func:`_pool_round` hands to ``settle`` beside the ledger's
+#: ``SHARD_ERROR`` and ``SHARD_STALLED``: finished, in flight at a worker
+#: death, in flight at a stall kill.
+_OK, _BROKE, _COLLATERAL = "ok", "broke", "collateral"
 
 
 def _shard_deadline(spec, started_at, shard_timeout_s):
@@ -434,9 +442,8 @@ def _kill_pool_workers(pool):
     """SIGKILL every worker process of a pool.
 
     SIGKILL works on a SIGSTOP'd process where cancellation cannot, and
-    deliberately breaks the pool — the engine's existing break machinery
-    then salvages finished futures and requeues the innocent in-flight
-    shards.
+    deliberately breaks the pool — :func:`_pool_round` then salvages the
+    finished futures and hands the innocent in-flight shards back.
     """
     for process in list(getattr(pool, "_processes", {}).values()):
         try:
@@ -445,39 +452,96 @@ def _kill_pool_workers(pool):
             pass
 
 
-def _stall_detail(shard_timeout_s):
-    return (
-        f"no heartbeat within the {shard_timeout_s:g}s shard deadline; worker killed"
-    )
-
-
-def _await_or_kill(future, spec, pool, shard_timeout_s):
-    """``future.result()`` bounded by the heartbeat-extended deadline, if any."""
-    if shard_timeout_s is None:
-        return future.result()
-    started = time.time()
-    while True:
-        remaining = _shard_deadline(spec, started, shard_timeout_s) - time.time()
-        if remaining <= 0:
-            if future.done():
-                return future.result()
-            _kill_pool_workers(pool)
-            raise _ShardStalled(_stall_detail(shard_timeout_s))
-        try:
-            return future.result(timeout=remaining)
-        except FuturesTimeoutError:
-            continue
-
-
 def _is_cancelled(cancel_event):
     return cancel_event is not None and cancel_event.is_set()
 
 
-def _fork_context():
-    """The ``fork`` start method every engine pool uses."""
-    # Children inherit numpy.ma instead of each importing it at its first np.median.
+def _pool_round(shard_fn, batch, workers, settle, shard_timeout_s, cancel_event):
+    """Run ``batch`` on one fresh pool of ``workers`` processes.
+
+    Submission is windowed to ``workers``, so every outstanding shard is
+    executing and carries a live deadline, and a break only touches the
+    shards actually running. Cancellation lands between submissions,
+    never mid-shard. With ``shard_timeout_s`` the stall sweep kills the
+    pool once a shard outlives its heartbeat-extended deadline.
+
+    Each shard leaving the pool goes to ``settle(spec, kind, value)`` as
+    soon as its fate is known: ``_OK`` (value: the result),
+    ``SHARD_ERROR`` (the message), ``SHARD_STALLED`` (the detail), or —
+    value ``None`` — ``_BROKE`` (in flight at a worker death) or
+    ``_COLLATERAL`` (in flight at a stall kill). Returns ``(unsubmitted,
+    cause)``: the specs never submitted, and ``None``, ``_BROKE`` or
+    ``SHARD_STALLED`` for how the pool ended.
+    """
+    batch = list(batch)
+    outstanding = {}  # future -> (spec, submit epoch)
+    cause = None
+
+    def settle_future(future, spec, broken):
+        nonlocal cause
+        try:
+            result = future.result()
+        except BrokenProcessPool:
+            cause = cause or _BROKE
+            settle(spec, broken, None)
+        except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
+            settle(spec, SHARD_ERROR, str(exc))
+        else:
+            settle(spec, _OK, result)
+
+    # fork keeps worker startup cheap and lets test-injected shard
+    # functions resolve in the children without re-import; the children
+    # inherit numpy.ma instead of each importing it at its first np.median.
     import numpy.ma  # noqa: F401
-    return multiprocessing.get_context("fork")
+
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+        while cause is None:
+            now = time.time()
+            deadlines = {}
+            if shard_timeout_s is not None:
+                deadlines = {
+                    future: _shard_deadline(spec, started, shard_timeout_s)
+                    for future, (spec, started) in outstanding.items()
+                }
+            expired = [f for f, due in deadlines.items() if due <= now and not f.done()]
+            if expired:
+                # A hung worker never breaks the pool on its own, so the
+                # sweep forces the break; unlike a worker death's, the
+                # culprits are known.
+                for future in expired:
+                    spec, _ = outstanding.pop(future)
+                    settle(
+                        spec,
+                        SHARD_STALLED,
+                        f"no heartbeat within the {shard_timeout_s:g}s shard deadline; "
+                        "worker killed",
+                    )
+                _kill_pool_workers(pool)
+                cause = SHARD_STALLED
+                break
+            while batch and len(outstanding) < workers and not _is_cancelled(cancel_event):
+                try:
+                    future = pool.submit(shard_fn, batch[0])
+                except BrokenProcessPool:
+                    cause = _BROKE
+                    break
+                outstanding[future] = (batch.pop(0), time.time())
+            if cause is not None or not outstanding:
+                break
+            timeout = None
+            if shard_timeout_s is not None:
+                # A shard submitted after ``now`` is due no earlier than this.
+                timeout = max(0.0, min(deadlines.values(), default=now + shard_timeout_s) - now)
+            done, _ = wait(outstanding, return_when=FIRST_COMPLETED, timeout=timeout)
+            for future in done:
+                settle_future(future, outstanding.pop(future)[0], _BROKE)
+        # After a break the rest of the window is already failed; salvage
+        # any that completed first.
+        broken = _COLLATERAL if cause == SHARD_STALLED else _BROKE
+        for future, (spec, _) in outstanding.items():
+            settle_future(future, spec, broken)
+    return batch, cause
 
 
 def execute_shard(shard_fn, spec, isolated=False, shard_timeout_s=None):
@@ -489,48 +553,22 @@ def execute_shard(shard_fn, spec, isolated=False, shard_timeout_s=None):
     killed) and arms the stall watchdog. ``kind`` is the ledger's
     ``shard-error``, ``shard-stalled`` or ``worker-death``.
     """
+    outcome = (None, (WORKER_DEATH, "worker process died running this shard"))
+
+    def settle(_, kind, value):
+        nonlocal outcome
+        if kind == _OK:
+            outcome = (value, None)
+        elif kind != _BROKE:
+            outcome = (None, (kind, value))
+
     try:
         if not isolated and shard_timeout_s is None:
             return shard_fn(spec), None
-        context = _fork_context()
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            future = pool.submit(shard_fn, spec)
-            return _await_or_kill(future, spec, pool, shard_timeout_s), None
-    except _ShardStalled as exc:
-        return None, (SHARD_STALLED, str(exc))
-    except BrokenProcessPool:
-        return None, (WORKER_DEATH, "worker process died running this shard")
+        _pool_round(shard_fn, [spec], 1, settle, shard_timeout_s, None)
     except Exception as exc:  # noqa: BLE001 - every shard error is ledgered
         return None, (SHARD_ERROR, str(exc))
-
-
-def _run_alone(
-    queue, shard_fn, results, telemetry, isolated, shard_timeout_s=None, cancel_event=None
-):
-    """Drain ``pending`` inline, or the ``suspects`` one pool per shard.
-
-    An isolated death is attributable, so — unlike shared-pool
-    collateral — the shard is charged and requeued back into isolation
-    until its retry budget runs out.
-    """
-    line = queue.suspects if isolated else queue.pending
-    while line:
-        if _is_cancelled(cancel_event):
-            queue.cancel_remaining()
-            return
-        spec = line.pop(0)
-        result, failure = execute_shard(
-            shard_fn, spec, isolated=isolated, shard_timeout_s=shard_timeout_s
-        )
-        if failure is None:
-            results[spec.shard_id] = result
-            telemetry.event("shard-finished", shard=spec.shard_id)
-            continue
-        kind, detail = failure
-        queue.charge(spec, kind, detail, isolate=isolated)
-        if kind == SHARD_STALLED:
-            telemetry.count("shards_stalled")
-            telemetry.event("shard-stalled", shard=spec.shard_id, isolated=True)
+    return outcome
 
 
 def _drain(
@@ -547,193 +585,94 @@ def _drain(
 ):
     """Run every spec to a result or a ledgered failure, on the right route.
 
-    ``workers > 1`` fans out on the shared pool; ``workers == 1`` runs
+    ``workers > 1`` runs shared-pool rounds; ``workers == 1`` runs
     inline, or isolated when the watchdog is armed (an inline call
-    cannot be killed).
+    cannot be killed). Suspects — the shards in flight at a shared-pool
+    break — run alone first, so guilt is attributable before the shared
+    pool resumes: an isolated death is charged and requeued back into
+    isolation until its retry budget runs out.
     """
     queue = _ShardQueue(specs, max_shard_retries, ledger, telemetry)
-    if workers > 1:
-        return _run_parallel(
-            queue, shard_fn, results, telemetry, workers, max_pool_breaks,
-            shard_timeout_s=shard_timeout_s, cancel_event=cancel_event,
-        )
-    isolated = shard_timeout_s is not None
-    if isolated:
+    if workers == 1 and shard_timeout_s is not None:
         queue.suspects, queue.pending = queue.pending, []
-    _run_alone(queue, shard_fn, results, telemetry, isolated, shard_timeout_s, cancel_event)
 
+    def charge(spec, kind, detail, isolate):
+        queue.charge(spec, kind, detail, isolate=isolate)
+        if kind == SHARD_STALLED:
+            telemetry.count("shards_stalled")
+            telemetry.event("shard-stalled", shard=spec.shard_id, isolated=True)
 
-def _run_parallel(
-    queue,
-    shard_fn,
-    results,
-    telemetry,
-    workers,
-    max_pool_breaks,
-    shard_timeout_s=None,
-    cancel_event=None,
-):
-    # fork keeps worker startup cheap and lets test-injected shard
-    # functions resolve in the children without re-import.
-    context = _fork_context()
+    def settle(spec, kind, value):
+        if kind == _OK:
+            results[spec.shard_id] = value
+            telemetry.event("shard-finished", shard=spec.shard_id)
+        elif kind == _BROKE:
+            # Guilt is unattributable in a shared pool: the shard becomes
+            # a suspect and re-runs alone.
+            queue.requeue_uncharged(
+                spec, "a worker process died while this shard was in flight", isolate=True
+            )
+        elif kind == _COLLATERAL:
+            # The stalled culprit was charged; this shard merely shared
+            # the killed pool, so it returns to the shared rounds.
+            queue.requeue_uncharged(
+                spec,
+                "the survey killed a stalled worker's pool; this shard was innocent collateral",
+            )
+        else:
+            charge(spec, kind, value, isolate=kind == SHARD_STALLED)
+
+    def run_alone(line, isolated):
+        while line:
+            if _is_cancelled(cancel_event):
+                queue.cancel_remaining()
+                return
+            spec = line.pop(0)
+            result, failure = execute_shard(
+                shard_fn, spec, isolated=isolated, shard_timeout_s=shard_timeout_s
+            )
+            if failure is None:
+                settle(spec, _OK, result)
+            else:
+                charge(spec, *failure, isolate=isolated)
+
     while queue.pending or queue.suspects:
         if _is_cancelled(cancel_event):
             queue.cancel_remaining()
             return
-        # Suspects first: the shards in flight at the last break re-run
-        # alone so guilt is attributable before the shared pool resumes.
-        _run_alone(
-            queue,
-            shard_fn,
-            results,
-            telemetry,
-            isolated=True,
-            shard_timeout_s=shard_timeout_s,
-            cancel_event=cancel_event,
-        )
+        run_alone(queue.suspects, isolated=True)
+        if workers == 1:
+            run_alone(queue.pending, isolated=False)
+            continue
         if not queue.pending:
             continue
-        # Shared-pool round. Submission is windowed to the worker count:
-        # only the shards actually executing at a break become suspects;
-        # the unsubmitted remainder stays eligible for the next shared
-        # round instead of collapsing the whole survey into isolation.
         batch, queue.pending = queue.pending, []
-        broke = False
-        stall_killed = False
-        outstanding = {}  # future -> spec
-        started = {}  # future -> submit epoch (watchdog deadline base)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-
-            def submit_next():
-                # Cancellation lands between submissions, never mid-shard:
-                # nothing new is submitted, the in-flight window drains
-                # normally, and the unsubmitted remainder is cancelled
-                # after the pool closes.
-                while batch and len(outstanding) < workers and not _is_cancelled(cancel_event):
-                    spec = batch.pop(0)
-                    try:
-                        future = pool.submit(shard_fn, spec)
-                    except BrokenProcessPool:
-                        batch.insert(0, spec)
-                        return False
-                    outstanding[future] = spec
-                    started[future] = time.time()
-                return True
-
-            broke = not submit_next()
-            while outstanding and not broke:
-                timeout = None
-                if shard_timeout_s is not None:
-                    # The windowed submission means every outstanding
-                    # future is actually executing, so each one carries a
-                    # live deadline; wake at the earliest.
-                    now = time.time()
-                    timeout = max(
-                        0.0,
-                        min(
-                            _shard_deadline(spec, started[future], shard_timeout_s)
-                            for future, spec in outstanding.items()
-                        )
-                        - now,
-                    )
-                done, _ = wait(outstanding, return_when=FIRST_COMPLETED, timeout=timeout)
-                for future in done:
-                    spec = outstanding.pop(future)
-                    started.pop(future, None)
-                    try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        # A worker died; guilt is unattributable in a
-                        # shared pool. The in-flight shard becomes a
-                        # suspect and will re-run alone.
-                        broke = True
-                        queue.requeue_uncharged(
-                            spec,
-                            "a worker process died while this shard was in flight",
-                            isolate=True,
-                        )
-                    except Exception as exc:  # noqa: BLE001 - ledgered
-                        queue.charge(spec, SHARD_ERROR, str(exc))
-                    else:
-                        results[spec.shard_id] = result
-                        telemetry.event("shard-finished", shard=spec.shard_id)
-                if not broke and shard_timeout_s is not None:
-                    # Stall sweep: a hung worker never breaks the pool on
-                    # its own, so expired deadlines force the break. The
-                    # culprits are known (unlike an unattributable worker
-                    # death), so they are charged and isolated here;
-                    # everything else in flight is innocent collateral.
-                    now = time.time()
-                    expired = [
-                        future
-                        for future, spec in outstanding.items()
-                        if now >= _shard_deadline(spec, started[future], shard_timeout_s)
-                        and not future.done()
-                    ]
-                    for future in expired:
-                        spec = outstanding.pop(future)
-                        started.pop(future, None)
-                        queue.charge(
-                            spec, SHARD_STALLED, _stall_detail(shard_timeout_s), isolate=True
-                        )
-                        telemetry.count("shards_stalled")
-                        telemetry.event("shard-stalled", shard=spec.shard_id, isolated=True)
-                    if expired:
-                        _kill_pool_workers(pool)
-                        broke = True
-                        stall_killed = True
-                if not broke:
-                    broke = not submit_next()
-            # After a break the rest of the window is already failed;
-            # salvage any that completed first, suspect the others.
-            for future, spec in outstanding.items():
-                try:
-                    result = future.result()
-                except BrokenProcessPool:
-                    if stall_killed:
-                        # The culprit was charged above; this shard was
-                        # merely sharing the killed pool, so it goes back
-                        # to the shared rounds uncharged.
-                        queue.requeue_uncharged(
-                            spec,
-                            "the survey killed a stalled worker's pool; "
-                            "this shard was innocent collateral",
-                        )
-                    else:
-                        queue.requeue_uncharged(
-                            spec,
-                            "a worker process died while this shard was in flight",
-                            isolate=True,
-                        )
-                except Exception as exc:  # noqa: BLE001 - ledgered
-                    queue.charge(spec, SHARD_ERROR, str(exc))
-                else:
-                    results[spec.shard_id] = result
-                    telemetry.event("shard-finished", shard=spec.shard_id)
+        unsubmitted, cause = _pool_round(
+            shard_fn, batch, workers, settle, shard_timeout_s, cancel_event
+        )
         if _is_cancelled(cancel_event):
-            for spec in batch:
-                queue.ledger.record_cancelled(spec.shard_id, _CANCEL_DETAIL)
+            for spec in unsubmitted:
+                ledger.record_cancelled(spec.shard_id, _CANCEL_DETAIL)
                 telemetry.event("shard-cancelled", shard=spec.shard_id)
-            batch = []
-        for spec in batch:
+            unsubmitted = []
+        for spec in unsubmitted:
             # Never submitted, so not a suspect: back to the shared pool.
             queue.requeue_uncharged(spec, "the pool broke before this shard was submitted")
-        if broke:
-            if stall_killed:
-                # A stall-kill is the survey's own doing, charged to the
-                # stalled shard's retry budget — it does not spend the
-                # environment-hostility budget.
-                telemetry.event("survey-stall-kill")
-            else:
-                queue.pool_breaks += 1
-                telemetry.event(
-                    "survey-pool-broke",
-                    pool_breaks=queue.pool_breaks,
-                    max_pool_breaks=max_pool_breaks,
-                )
-                if queue.pool_breaks > max_pool_breaks:
-                    n = queue.abandon_for_pool_break_cap(max_pool_breaks)
-                    telemetry.event("survey-pool-break-cap", n_abandoned=n)
+        if cause == SHARD_STALLED:
+            # A stall kill is the survey's own doing, charged to the
+            # stalled shard's retry budget: it does not spend the
+            # environment-hostility budget.
+            telemetry.event("survey-stall-kill")
+        elif cause == _BROKE:
+            queue.pool_breaks += 1
+            telemetry.event(
+                "survey-pool-broke",
+                pool_breaks=queue.pool_breaks,
+                max_pool_breaks=max_pool_breaks,
+            )
+            if queue.pool_breaks > max_pool_breaks:
+                n = queue.abandon_for_pool_break_cap(max_pool_breaks)
+                telemetry.event("survey-pool-break-cap", n_abandoned=n)
 
 
 def _aggregate(specs, results, ledger, base_description):

@@ -431,6 +431,31 @@ class TestJobStore:
         assert all(record["kind"] != "submit" for record, _ in records)
         assert list(_open_store(root).job_ids()) == []
 
+    def test_refused_submit_does_not_burn_a_job_id(self, tmp_path):
+        root = tmp_path / "store"
+        store = _open_store(root)
+        with pytest.raises(SurveyError, match="unknown preset machines"):
+            _submit(store, tmp_path, machines=["nope"])
+        assert _submit(store, tmp_path) == "job-000001"
+        assert _submit(_open_store(root), tmp_path) == "job-000002"
+
+    def test_journaled_submit_spends_its_id_even_if_admission_fails(self, tmp_path, monkeypatch):
+        # The submit record is durable before the job's manifest exists;
+        # if that manifest cannot be created the id is still taken.
+        root = tmp_path / "store"
+        store = _open_store(root)
+
+        def failing_create(self, fingerprint, specs, description=""):
+            self._degrade("creating the manifest failed: injected")
+            return self
+
+        monkeypatch.setattr(queue_module.SurveyManifest, "create", failing_create)
+        with pytest.raises(ServiceError, match="could not create the manifest"):
+            _submit(store, tmp_path)
+        monkeypatch.undo()
+        assert _submit(store, tmp_path) == "job-000002"
+        assert list(_open_store(root).job_ids()) == ["job-000001", "job-000002"]
+
     def test_journaled_repeated_band_still_replays(self, tmp_path, monkeypatch):
         # A store journal written before admission refused repeated bands
         # still opens: the refusal is not on the replay path.

@@ -18,6 +18,7 @@ import json
 import os
 import signal
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,20 @@ from repro.survey import (
     plan_shards,
     run_shard,
 )
-from repro.survey.report import POOL_BREAK, POOL_BREAK_CAP, SHARD_ERROR, WORKER_DEATH
+from repro.survey.chaos import (
+    count_attempts,
+    hang_worker_always_shard,
+    kill_worker_once_shard,
+    well_behaved_shard,
+)
+from repro.survey.engine import execute_shard
+from repro.survey.report import (
+    POOL_BREAK,
+    POOL_BREAK_CAP,
+    SHARD_ERROR,
+    SHARD_STALLED,
+    WORKER_DEATH,
+)
 from repro.survey.shards import ShardResult
 from repro.telemetry import Recorder, Telemetry, read_jsonl
 
@@ -373,6 +387,29 @@ class TestWorkerDeath:
         # Bounded attempts: one shared-pool round plus the isolated retries.
         assert _attempts(tmp_path, victim_id) <= retries + 2
 
+    def test_killed_shard_ledger_trail_is_exact(self, tmp_path):
+        """The victim's trail, in order: uncharged shared-pool collateral,
+        then one charged death per isolated run until the budget is spent."""
+        report = run_survey(
+            **self._plan_args(tmp_path),
+            workers=2,
+            max_shard_retries=1,
+            shard_fn=_kill_always_shard,
+        )
+        [victim_id] = [
+            spec.shard_id
+            for spec in plan_shards(**self._plan_args(tmp_path))
+            if _is_victim(spec)
+        ]
+        died = "worker process died running this shard"
+        trail = [(f.kind, f.charged, f.detail) for f in report.ledger.failures_for(victim_id)]
+        assert trail == [
+            (POOL_BREAK, False, "a worker process died while this shard was in flight"),
+            (WORKER_DEATH, True, died),
+            (WORKER_DEATH, True, died),
+        ]
+        assert report.ledger.abandoned[victim_id] == f"{WORKER_DEATH} after 2 failure(s): {died}"
+
     def test_kill_once_shard_recovers_on_requeue(self, tmp_path):
         report = run_survey(
             **self._plan_args(tmp_path),
@@ -425,6 +462,57 @@ class TestWorkerDeath:
         ]
         assert victim_id in report.ledger.abandoned
         assert _attempts(tmp_path, victim_id) == 1
+
+
+# ----------------------------------------------------------------------
+# The one-shard executor the drain and the service's worker loops share.
+
+
+class TestExecuteShard:
+    """``execute_shard``'s ``(result, failure)`` contract on every route:
+    the exact ``(kind, detail)`` each caller ledgers or reports."""
+
+    def _spec(self, base, heartbeat=False):
+        [spec] = plan_shards(
+            machines=("corei7_desktop",), pairs=ONE_PAIR, config=_scratch_config(base)
+        )
+        if heartbeat:
+            spec = dataclasses.replace(spec, heartbeat_path=str(base / "shard.hb"))
+        return spec
+
+    def test_inline_and_isolated_success_agree(self, tmp_path):
+        spec = self._spec(tmp_path)
+        inline, no_failure = execute_shard(well_behaved_shard, spec)
+        assert no_failure is None
+        assert execute_shard(well_behaved_shard, spec, isolated=True) == (inline, None)
+        assert execute_shard(well_behaved_shard, spec, shard_timeout_s=60) == (inline, None)
+        assert count_attempts(tmp_path, spec.shard_id) == 3
+
+    @pytest.mark.parametrize("isolated", [False, True], ids=["inline", "isolated"])
+    def test_raise_is_a_shard_error_with_its_message(self, tmp_path, isolated):
+        spec = self._spec(tmp_path)
+        assert execute_shard(_error_shard, spec, isolated=isolated) == (
+            None,
+            (SHARD_ERROR, f"synthetic shard error in {spec.shard_id}"),
+        )
+
+    def test_isolated_self_kill_is_a_worker_death(self, tmp_path):
+        spec = self._spec(tmp_path)
+        assert execute_shard(kill_worker_once_shard, spec, isolated=True) == (
+            None,
+            (WORKER_DEATH, "worker process died running this shard"),
+        )
+
+    def test_watched_hang_is_killed_as_stalled(self, tmp_path):
+        spec = self._spec(tmp_path, heartbeat=True)
+        started = time.monotonic()
+        outcome = execute_shard(hang_worker_always_shard, spec, shard_timeout_s=0.5)
+        assert outcome == (
+            None,
+            (SHARD_STALLED, "no heartbeat within the 0.5s shard deadline; worker killed"),
+        )
+        assert time.monotonic() - started < 10.0
+        assert count_attempts(tmp_path, spec.shard_id) == 1
 
 
 # ----------------------------------------------------------------------
