@@ -31,7 +31,15 @@ Quickstart::
     from repro import corei7_desktop, run_fase
     report = run_fase(corei7_desktop(rng=0), rng=1)
     print(report.to_text())
+
+A scan needs only the numerics, so ``import repro`` loads only them. The
+names that live in :mod:`repro.faults`, :mod:`repro.runner` and
+:mod:`repro.survey` are served on first access by the module-level
+:func:`__getattr__` (PEP 562); ``from repro import run_survey`` works as
+it always did.
 """
+
+import importlib
 
 from .core import (
     FaseConfig,
@@ -49,8 +57,6 @@ from .core import (
     run_fase,
     pair_label,
 )
-from .faults import FaultPlan, RobustnessReport
-from .runner import CampaignJournal, DurableCampaign, recover_campaign
 from .spectrum import FrequencyGrid, SpectrumTrace, SpectrumAnalyzer
 from .telemetry import (
     Telemetry,
@@ -66,7 +72,6 @@ from .telemetry import (
     JsonlSink,
     read_jsonl,
 )
-from .survey import SurveyLedger, SurveyReport, run_survey
 from .system import (
     SystemModel,
     corei7_desktop,
@@ -77,6 +82,32 @@ from .system import (
 from .uarch import MicroOp, AlternationMicrobenchmark, AlternationActivity
 
 __version__ = "1.0.0"
+
+#: Public names of the subsystems a scan never calls, by defining module.
+_LAZY = {
+    "FaultPlan": "repro.faults",
+    "RobustnessReport": "repro.faults",
+    "CampaignJournal": "repro.runner",
+    "DurableCampaign": "repro.runner",
+    "recover_campaign": "repro.runner",
+    "SurveyLedger": "repro.survey",
+    "SurveyReport": "repro.survey",
+    "run_survey": "repro.survey",
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "FaseConfig",

@@ -13,6 +13,12 @@ Commands:
 * ``jobs``      list a running service's jobs
 * ``watch``     live-tail a service job's event stream
 * ``cancel``    cooperatively cancel a service job
+
+A subcommand imports its subsystem when it is dispatched: a scan runs the
+numerics only, so the survey engine, the service, the durable runner,
+campaign I/O and the fault injectors are imported inside the handlers
+that use them. Help strings built with the parser take their
+vocabularies from :mod:`repro.choices`, which imports no subsystem.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import sys
 
 import numpy as np
 
-from . import io as campaign_io
+from .choices import BAND_PRESETS, FAULT_CLASS_NAMES
 from .core import (
     CarrierDetector,
     FaseConfig,
@@ -31,9 +37,6 @@ from .core import (
     run_fase,
 )
 from .errors import ReproError
-from .faults import FAULT_CLASSES, FaultPlan
-from .runner import DurableCampaign
-from .survey import BAND_PRESETS, DEFAULT_PAIRS, AdaptivePlanner, parse_bands, run_survey
 from .system import ALL_PRESETS
 from .telemetry import JsonlSink, Telemetry, use_telemetry
 from .uarch.activity import AlternationActivity
@@ -89,7 +92,7 @@ def _add_campaign_arguments(parser):
         default=None,
         metavar="CLASSES",
         help="enable fault injection: 'all' or a comma list of "
-        f"{','.join(sorted(FAULT_CLASSES))} (default severities); the run "
+        f"{','.join(sorted(FAULT_CLASS_NAMES))} (default severities); the run "
         "screens, retries, and excludes bad captures and reports the damage",
     )
     parser.add_argument(
@@ -151,6 +154,8 @@ def _add_durable_arguments(parser):
 def _parse_fault_plan(args):
     if args.faults is None:
         return None
+    from .faults import FaultPlan
+
     classes = None
     if args.faults.strip().lower() not in ("all", ""):
         classes = tuple(name.strip() for name in args.faults.split(",") if name.strip())
@@ -218,6 +223,8 @@ def cmd_scan(args):
 
 
 def cmd_survey(args):
+    from .survey import DEFAULT_PAIRS, AdaptivePlanner, parse_bands, run_survey
+
     machines = None
     if args.machines:
         machines = [name.strip() for name in args.machines.split(",") if name.strip()]
@@ -282,10 +289,14 @@ def cmd_localize(args):
 
 
 def cmd_record(args):
+    from . import io as campaign_io
+
     machine = _build_machine(args)
     config = _parse_span(args)
     op_x, op_y = _parse_ops(args.pair)
     if args.checkpoint_dir is not None:
+        from .runner import DurableCampaign
+
         campaign = DurableCampaign(
             machine,
             config,
@@ -342,6 +353,8 @@ def cmd_analyze(args):
             "analyze needs an input .npz recording, or --manifest DIR to "
             "recover a survey report from a manifest"
         )
+    from . import io as campaign_io
+
     try:
         result = campaign_io.load_campaign(args.input, journal=args.journal, lazy=args.lazy)
     except ReproError as exc:
@@ -473,6 +486,7 @@ def cmd_watch(args):
 def cmd_submit(args):
     from .io import _config_to_dict
     from .service import ServiceClient
+    from .survey import parse_bands
 
     client = ServiceClient(args.url)
     machines = None

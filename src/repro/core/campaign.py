@@ -11,7 +11,6 @@ spectrum).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -369,6 +368,8 @@ class MeasurementCampaign:
                 )
 
         n_workers = min(self.config.n_workers, n)
+        if n_workers > 1:
+            from concurrent.futures import ThreadPoolExecutor
         qualities = {}
         with (
             ThreadPoolExecutor(

@@ -9,12 +9,10 @@ modulate them.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from pathlib import Path
 
 from ..rng import child_rng, ensure_rng
-from ..runner import DurableCampaign, journal_dirname
 from ..telemetry import adopt_telemetry, current_telemetry, use_thread_telemetry
 from ..uarch.isa import MicroOp
 from .campaign import MeasurementCampaign
@@ -116,6 +114,9 @@ def run_fase(
 
     def build_campaign(label, pair_rng):
         if checkpoint_dir is not None:
+            from ..journalutil import journal_dirname
+            from ..runner import DurableCampaign
+
             return DurableCampaign(
                 machine,
                 config,
@@ -164,6 +165,8 @@ def run_fase(
         tel = current_telemetry()
         with tel.span("run_fase", machine=machine.name, n_pairs=len(pairs)):
             if n_workers > 1 and len(pairs) > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
                 pair_rngs = [
                     child_rng(rng, f"pair:{pair_label(op_x, op_y)}") for op_x, op_y in pairs
                 ]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..choices import FAULT_CLASS_NAMES
 from ..errors import CaptureFaultError, SystemModelError
 from ..units import dbm_to_milliwatts
 
@@ -208,15 +209,13 @@ class GlitchBins(FaultInjector):
         )
 
 
-#: Canonical injector order: drop first (a dropped capture carries no other
-#: corruption), then the power-domain faults.
-FAULT_CLASSES = {
-    "drop": CaptureDrop,
-    "interference": TransientInterference,
-    "clipping": AdcClipping,
-    "drift": FrequencyDrift,
-    "glitch": GlitchBins,
+#: Injector classes by name, in the canonical order of
+#: :data:`repro.choices.FAULT_CLASS_NAMES`.
+_BY_NAME = {
+    cls.name: cls
+    for cls in (CaptureDrop, TransientInterference, AdcClipping, FrequencyDrift, GlitchBins)
 }
+FAULT_CLASSES = {name: _BY_NAME[name] for name in FAULT_CLASS_NAMES}
 
 
 class FaultPlan:

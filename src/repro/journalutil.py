@@ -48,7 +48,36 @@ __all__ = [
     "append_line",
     "iter_journal",
     "read_complete_lines",
+    "journal_dirname",
+    "CAPTURE_FIELDS",
 ]
+
+#: Capture-relevant config fields: the ones that change what a capture
+#: *measures*. Runtime knobs (workers, timeouts, retry budgets) are
+#: deliberately excluded so tuning them between runs never orphans a
+#: journal. Shared by the campaign journal's fingerprint and the survey
+#: manifest's plan fingerprint.
+CAPTURE_FIELDS = (
+    "span_low",
+    "span_high",
+    "fres",
+    "falt1",
+    "f_delta",
+    "n_alternations",
+    "n_averages",
+)
+
+
+def journal_dirname(label):
+    """A filesystem-safe journal directory name for a label.
+
+    Shared by ``run_fase`` (per activity-pair journals), the survey
+    engine (per-shard journals and heartbeats) and the service's job
+    store and worker hosts, so every layer maps labels like
+    ``"LDM/LDL1"`` or ``"corei7_desktop:LDM/LDL1:0-4MHz"`` onto the same
+    on-disk names.
+    """
+    return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in label)
 
 
 def fsync_directory(directory):

@@ -52,7 +52,8 @@ from ..io import (
     _write_npz_deterministic,
     mmap_npz_member,
 )
-from ..journalutil import atomic_write
+from ..journalutil import CAPTURE_FIELDS, atomic_write
+from ..journalutil import journal_dirname  # noqa: F401  (re-exported, its old home)
 from ..spectrum.trace import SpectrumTrace
 
 #: Format marker of the journal header, for forward compatibility.
@@ -62,31 +63,6 @@ RECORD_FORMAT = "fase-journal-record-v1"
 
 _HEADER_NAME = "HEADER.json"
 _RECORD_RE = re.compile(r"^record-(\d{5})-a(\d+)\.npz$")
-
-
-def journal_dirname(label):
-    """A filesystem-safe journal directory name for a label.
-
-    Shared by ``run_fase`` (per activity-pair journals) and the survey
-    engine (per-shard journals), so both layers map labels like
-    ``"LDM/LDL1"`` or ``"corei7_desktop:LDM/LDL1:0-4MHz"`` onto the same
-    on-disk names.
-    """
-    return "".join(ch if ch.isalnum() or ch in "._-" else "-" for ch in label)
-
-#: Capture-relevant config fields: the ones that change what a capture
-#: *measures*. Runtime knobs (workers, timeouts, retry budgets) are
-#: deliberately excluded so tuning them between runs never orphans a
-#: journal. Shared with the survey manifest's plan fingerprint.
-CAPTURE_FIELDS = (
-    "span_low",
-    "span_high",
-    "fres",
-    "falt1",
-    "f_delta",
-    "n_alternations",
-    "n_averages",
-)
 
 
 def campaign_fingerprint(config, machine_name, activity_label, rng):

@@ -50,7 +50,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from ..errors import ServiceError
-from ..runner import journal_dirname
+from ..journalutil import journal_dirname
 from ..survey.engine import execute_shard
 from ..survey.shards import run_shard
 from .client import ServiceClient

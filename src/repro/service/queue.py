@@ -63,8 +63,13 @@ from types import MappingProxyType
 
 from ..errors import ServiceError
 from ..io import _config_from_dict, _config_to_dict
-from ..journalutil import append_line, atomic_write, ensure_line_boundary, iter_journal
-from ..runner import journal_dirname
+from ..journalutil import (
+    append_line,
+    atomic_write,
+    ensure_line_boundary,
+    iter_journal,
+    journal_dirname,
+)
 from ..survey.engine import plan_shards, refuse_repeated_shards
 from ..survey.manifest import JournaledLedger, SurveyManifest, plan_fingerprint, replay_ledger
 from ..survey.planner import CaptureBudget

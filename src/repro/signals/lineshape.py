@@ -19,9 +19,10 @@ own. An emitter sums hundreds of lines per scene, so it deposits: that
 skips a full-grid temporary and a full-grid add per line and yields the
 same bits, because every bin outside the window would only have gained
 ``+ 0.0`` and the lines still land in the same order. Sums *between*
-separately rendered arrays (a station's carrier plus its audio, the
-environment's per-source totals) stay as they are: folding them into one
-accumulator would reorder float adds and change the bytes.
+separately rendered arrays (a station's carrier plus its audio, the spur
+field's total) are still formed before they reach the environment's
+accumulator, over the bins they touch: folding them into it line by
+line would reorder float adds and change the bytes.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from ..core.report import ActivityReport
-from ..runner import journal_dirname
+from ..journalutil import journal_dirname
 from .shards import ShardResult, beat_heartbeat
 
 #: The machine whose shards misbehave in every chaos scenario.

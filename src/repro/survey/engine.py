@@ -1,10 +1,11 @@
 """The process-parallel survey engine.
 
 The campaign-level parallel paths (``FaseConfig.n_workers``,
-``run_fase``'s pair pool) are thread pools: numpy's kernels release the
-GIL, so they overlap some work (``run_fase(n_workers=2)`` ran 1.1–1.2x
-faster than an in-thread map on a 2-vCPU VM), but much of capture
-synthesis and scoring still holds it. A survey is embarrassingly
+``run_fase``'s pair pool) are thread pools, and they no longer overlap
+useful work: capture synthesis and scoring are many small numpy calls
+that hold the GIL (``run_fase(n_workers=2)`` at 0–4 MHz / 50 Hz read no
+faster than an in-thread map on a 2-vCPU VM, 0.196 s against 0.196 s
+over 10 alternating rounds). A survey is embarrassingly
 parallel at a coarser grain: the
 (machine, pair, band) shards share nothing, so this engine fans
 :class:`~repro.survey.shards.ShardSpec` units across a
@@ -75,13 +76,14 @@ from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
+from ..choices import BAND_PRESETS
 from ..core.classify import classify_sources
 from ..core.config import campaign_low_band
 from ..core.pipeline import pair_label
 from ..core.report import FaseReport
 from ..errors import ManifestError, SurveyError
 from ..faults import FAULT_CLASSES
-from ..runner import journal_dirname
+from ..journalutil import journal_dirname
 from ..system import ALL_PRESETS
 from ..telemetry import (
     MetricsSnapshot,
@@ -116,15 +118,6 @@ _CANCEL_DETAIL = "survey cancelled before this shard started"
 #: The two pairs the paper's survey focuses on: memory modulation
 #: (Figure 11) and on-chip modulation (Figure 13).
 DEFAULT_PAIRS = ((MicroOp.LDM, MicroOp.LDL1), (MicroOp.LDL2, MicroOp.LDL1))
-
-#: Named band splits accepted by ``--bands`` and :func:`parse_bands`.
-BAND_PRESETS = {
-    "full": 1,
-    "halves": 2,
-    "quarters": 4,
-    "eighths": 8,
-    "sixteenths": 16,
-}
 
 
 def parse_bands(text):

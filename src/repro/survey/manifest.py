@@ -57,13 +57,13 @@ from ..core.report import ActivityReport
 from ..errors import ManifestError
 from ..io import _config_to_dict, _robustness_from_dict, _robustness_to_dict
 from ..journalutil import (
+    CAPTURE_FIELDS,
     append_line,
     atomic_write,
     checksum_record,
     ensure_line_boundary,
     iter_journal,
 )
-from ..runner.journal import CAPTURE_FIELDS
 from .report import (
     SurveyLedger,
     _detection_from_dict,

@@ -37,11 +37,21 @@ AM_CHANNEL_SPACING = 10e3
 
 
 class EnvironmentSource:
-    """Base class: a static contributor of mean per-bin power."""
+    """Base class: a static contributor of mean per-bin power.
+
+    A subclass implements :meth:`mean_power` or :meth:`deposit`; each
+    default is written in terms of the other.
+    """
 
     def mean_power(self, grid):
         """Mean per-bin power (mW) over the grid."""
-        raise NotImplementedError
+        power = np.zeros(grid.n_bins, dtype=float)
+        self.deposit(power, grid)
+        return power
+
+    def deposit(self, out, grid):
+        """Add :meth:`mean_power` into ``out`` in place, with the same bytes."""
+        out += self.mean_power(grid)
 
 
 class ToneInterferer(EnvironmentSource):
@@ -55,8 +65,10 @@ class ToneInterferer(EnvironmentSource):
         self.shape = GaussianLine(linewidth) if linewidth > 0 else DeltaLine()
         self.name = name or f"tone@{frequency:.0f}Hz"
 
-    def mean_power(self, grid):
-        return self.shape.render(grid.frequencies, self.frequency, self.power_mw)
+    def deposit(self, out, grid):
+        # One line into a zeroed grid, then added, equals the line added
+        # straight in: every other bin would gain + 0.0.
+        self.shape.deposit(out, grid.frequencies, self.frequency, self.power_mw)
 
 
 class AMRadioStation(EnvironmentSource):
@@ -81,14 +93,32 @@ class AMRadioStation(EnvironmentSource):
         self.sideband_fraction = float(sideband_fraction)
         self.name = name or f"AM@{frequency / 1e3:.0f}kHz"
 
-    def mean_power(self, grid):
-        carrier = DeltaLine().render(
-            grid.frequencies, self.frequency, self.power_mw * (1.0 - self.sideband_fraction)
-        )
-        audio = GaussianLine(self.audio_bandwidth / 2.0).render(
-            grid.frequencies, self.frequency, self.power_mw * self.sideband_fraction
-        )
-        return carrier + audio
+    def deposit(self, out, grid):
+        """Add ``carrier + audio`` over only the bins either line can touch.
+
+        The two lines are summed in a window-sized buffer first, as the
+        full-grid ``carrier + audio`` summed them, so every bin gets the
+        same bytes; bins outside the window would only gain ``+ 0.0``.
+        The window pads the audio line's reach by two bins a side, wider
+        than the nearest-bin fallback of either line can land. A window
+        that meets a grid edge becomes the whole grid, so a line's
+        edge-of-grid fallback always sees the grid it saw before.
+        """
+        frequencies = grid.frequencies
+        audio = GaussianLine(self.audio_bandwidth / 2.0)
+        reach = audio.halfwidth + 2.0 * max(grid.resolution, 1.0)
+        lo = int(np.searchsorted(frequencies, self.frequency - reach, side="left"))
+        hi = int(np.searchsorted(frequencies, self.frequency + reach, side="right"))
+        if hi <= lo:
+            return
+        if lo == 0 or hi == len(frequencies):
+            lo, hi = 0, len(frequencies)
+        window = frequencies[lo:hi]
+        local = np.zeros(hi - lo, dtype=float)
+        carrier_mw = self.power_mw * (1.0 - self.sideband_fraction)
+        DeltaLine().deposit(local, window, self.frequency, carrier_mw)
+        audio.deposit(local, window, self.frequency, self.power_mw * self.sideband_fraction)
+        out[lo:hi] += local
 
 
 class SpuriousToneField(EnvironmentSource):
@@ -121,8 +151,17 @@ class SpuriousToneField(EnvironmentSource):
     def mean_power(self, grid):
         power = np.zeros(grid.n_bins, dtype=float)
         shape = DeltaLine()
-        for frequency, tone_power in zip(self.frequencies, self.powers_mw):
-            shape.deposit(power, grid.frequencies, frequency, tone_power)
+        frequencies = grid.frequencies
+        # A delta line lands at most one bin step from its center, so
+        # tones further than two steps off the grid deposit nothing.
+        margin = 2.0 * grid.resolution
+        first, last = np.searchsorted(
+            self.frequencies, (frequencies[0] - margin, frequencies[-1] + margin)
+        )
+        for frequency, tone_power in zip(
+            self.frequencies[first:last], self.powers_mw[first:last]
+        ):
+            shape.deposit(power, frequencies, frequency, tone_power)
         return power
 
 
@@ -159,7 +198,7 @@ class RFEnvironment(EnvironmentSource):
     def _render(self, grid):
         power = np.zeros(grid.n_bins, dtype=float)
         for source in self.sources:
-            power += source.mean_power(grid)
+            source.deposit(power, grid)
         if self.noise is not None:
             power += self.noise.mean_density(grid.frequencies) * grid.resolution
         return power

@@ -26,7 +26,7 @@ from repro.core.config import FaseConfig
 from repro.mitigation import RandomizedRefreshEmitter, replace_emitter
 from repro.spectrum.grid import FrequencyGrid
 from repro.survey import DEFAULT_PAIRS
-from repro.system import ALL_PRESETS
+from repro.system import ALL_PRESETS, build_environment
 from repro.uarch.microbench import AlternationMicrobenchmark
 
 GRID = FrequencyGrid(0.0, 4e6, 50.0)
@@ -107,3 +107,98 @@ def _render_machine(name):
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_render_digests(name):
     assert _render_machine(name) == DIGESTS[name]
+
+
+# Environment renders on their own, on the grids a survey shard, the Turion
+# window, an odd resolution and campaign 2 ask for. Most of each grid lies
+# outside an AM station's window, so a render that touches only each
+# source's bins must still give these bytes. Three presets draw the same
+# environment from ``default_rng(0)``; an environment built from another
+# seed rides along. ``sources@...`` hashes every source's own
+# ``mean_power`` in order.
+ENV_GRIDS = {
+    "0-1MHz@50": FrequencyGrid(0.0, 1e6, 50.0),
+    "1-2MHz@50": FrequencyGrid(1e6, 2e6, 50.0),
+    "2-3MHz@50": FrequencyGrid(2e6, 3e6, 50.0),
+    "3-4MHz@50": FrequencyGrid(3e6, 4e6, 50.0),
+    "0-1.2MHz@50": FrequencyGrid(0.0, 1.2e6, 50.0),
+    "0.5-0.9MHz@37": FrequencyGrid(0.5e6, 0.9e6, 37.0),
+    "0-120MHz@500": FrequencyGrid(0.0, 120e6, 500.0),
+}
+SOURCES_GRID = FrequencyGrid(0.0, 1.2e6, 50.0)
+
+ENV_DIGESTS = {
+    "corei3_laptop": {
+        "0-1MHz@50": "b1cceeeb1a13b163bff6047dbac944bb2f9a1f3b022a696e82fe750217a2c27e",
+        "1-2MHz@50": "e9fb9e7fe991aba9e014d0588c36ca528b96ee48f805682c25ae51b56e892e14",
+        "2-3MHz@50": "aef4a2c94f829325c85824f2b351a676acfd10bacbc48e898d554d2cc6abb989",
+        "3-4MHz@50": "9dcbd5c9b582149846b2fd89b7f4067d931d6de68568229f2a6a271d15820e1b",
+        "0-1.2MHz@50": "9d00cfc840fe6c41433a2bcf1e1ce45c3e29b60282e5f8c0bba9b702c6584f69",
+        "0.5-0.9MHz@37": "4f340f646ab6e07708a3e971450b3e713f442408860bc76388d43805c991f95e",
+        "0-120MHz@500": "bd458e4a6794054fbc4aadfb4c17a100be1852103e10ab1be315ab8167d98a59",
+        "sources@0-1.2MHz@50": "b8f6a5ff30cc1a0661779ffc2abb20463afcc02005e36de8ca983e78a8c8f25d",
+    },
+    "corei7_desktop": {
+        "0-1MHz@50": "b1cceeeb1a13b163bff6047dbac944bb2f9a1f3b022a696e82fe750217a2c27e",
+        "1-2MHz@50": "e9fb9e7fe991aba9e014d0588c36ca528b96ee48f805682c25ae51b56e892e14",
+        "2-3MHz@50": "aef4a2c94f829325c85824f2b351a676acfd10bacbc48e898d554d2cc6abb989",
+        "3-4MHz@50": "9dcbd5c9b582149846b2fd89b7f4067d931d6de68568229f2a6a271d15820e1b",
+        "0-1.2MHz@50": "9d00cfc840fe6c41433a2bcf1e1ce45c3e29b60282e5f8c0bba9b702c6584f69",
+        "0.5-0.9MHz@37": "4f340f646ab6e07708a3e971450b3e713f442408860bc76388d43805c991f95e",
+        "0-120MHz@500": "bd458e4a6794054fbc4aadfb4c17a100be1852103e10ab1be315ab8167d98a59",
+        "sources@0-1.2MHz@50": "b8f6a5ff30cc1a0661779ffc2abb20463afcc02005e36de8ca983e78a8c8f25d",
+    },
+    "pentium3m_laptop": {
+        "0-1MHz@50": "b1cceeeb1a13b163bff6047dbac944bb2f9a1f3b022a696e82fe750217a2c27e",
+        "1-2MHz@50": "e9fb9e7fe991aba9e014d0588c36ca528b96ee48f805682c25ae51b56e892e14",
+        "2-3MHz@50": "aef4a2c94f829325c85824f2b351a676acfd10bacbc48e898d554d2cc6abb989",
+        "3-4MHz@50": "9dcbd5c9b582149846b2fd89b7f4067d931d6de68568229f2a6a271d15820e1b",
+        "0-1.2MHz@50": "9d00cfc840fe6c41433a2bcf1e1ce45c3e29b60282e5f8c0bba9b702c6584f69",
+        "0.5-0.9MHz@37": "4f340f646ab6e07708a3e971450b3e713f442408860bc76388d43805c991f95e",
+        "0-120MHz@500": "bd458e4a6794054fbc4aadfb4c17a100be1852103e10ab1be315ab8167d98a59",
+        "sources@0-1.2MHz@50": "b8f6a5ff30cc1a0661779ffc2abb20463afcc02005e36de8ca983e78a8c8f25d",
+    },
+    "turionx2_laptop": {
+        "0-1MHz@50": "2a3c42dc80ebb0138cead575580550ec4deb9ee595b3cb67c471ec4df12c03d9",
+        "1-2MHz@50": "edad9da230c5cb6f3786f43bc47265d552caa13abf359961879b479bbf0faf2b",
+        "2-3MHz@50": "665ec5d76cd1bd37a0996db00afc27419f6fbaa15db686a83561d3bf5fe391e9",
+        "3-4MHz@50": "3de5622e57a5f8b4d7e7a23666f0df9c26edbe1601c3bcdaa326a6eb49b57368",
+        "0-1.2MHz@50": "198ffdc86d516a3249dda2776f0b94aa782927eab22b73b08094d4f95c50ab54",
+        "0.5-0.9MHz@37": "e4948b7143da5f2e3678b0b4dd8d99dd9c9179eb8580758ccd7593450ae2439b",
+        "0-120MHz@500": "36eb027cd373434e53054a19dfd9f20b2624f81831d7e04a0d6ef038e37c7799",
+        "sources@0-1.2MHz@50": "aa8260291936b591a703a5b7390110fb3efc74914dbf7b6affd9c8e052aba0fa",
+    },
+    "metropolitan(4 MHz, default_rng(7))": {
+        "0-1MHz@50": "541b34d560a649aff97360147f438dd1f3e3df68006cae60fc45d36a6504f51b",
+        "1-2MHz@50": "133227304daccb2368faa663bb91251d6462de9308b4cd3d3b57a861431df732",
+        "2-3MHz@50": "646dc70bad1f3c8ca2dee84b84466615f0e2e82f2329fb33d94e247184147b79",
+        "3-4MHz@50": "0039b2b98bb3df11f4ee071dee15f003dcbdc6bec839c57c93d3386b9117272f",
+        "0-1.2MHz@50": "9735db3ddfccfd8deb28b516ec1e3f28dc859bd82b05ec1352a762822b755037",
+        "0.5-0.9MHz@37": "e6bc621cfa46fef9152af71240d397f3da92946aa04c220ec4d922582664fb8c",
+        "0-120MHz@500": "12a1f9ac967191b81f45c980051b157120ecbeabba6c9e56e80ac73cce761e02",
+        "sources@0-1.2MHz@50": "b7a6a1815b2e49bfd0b3a4e124e1af21fb88fa167edc721905b49f3794e446b2",
+    },
+}
+
+ENVIRONMENTS = {
+    **{name: (lambda preset=preset: preset(rng=np.random.default_rng(0)).environment)
+       for name, preset in ALL_PRESETS.items()},
+    "metropolitan(4 MHz, default_rng(7))": lambda: build_environment(
+        4e6, rng=np.random.default_rng(7)
+    ),
+}
+
+
+def _sha(power):
+    return hashlib.sha256(np.ascontiguousarray(power).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(ENVIRONMENTS))
+def test_environment_digests(name):
+    environment = ENVIRONMENTS[name]()
+    digests = {key: _sha(environment.mean_power(grid)) for key, grid in ENV_GRIDS.items()}
+    sources = hashlib.sha256()
+    for source in environment.sources:
+        sources.update(np.ascontiguousarray(source.mean_power(SOURCES_GRID)).tobytes())
+    digests["sources@0-1.2MHz@50"] = sources.hexdigest()
+    assert digests == ENV_DIGESTS[name]

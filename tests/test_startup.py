@@ -1,11 +1,16 @@
-"""Startup stays light: importing the package or running a scan never loads scipy.signal.
+"""Startup stays light: importing the package or running a scan loads only what a scan runs.
 
 ``scipy.signal`` alone used to be most of ``import repro``'s wall time,
 paid by every ``python -m repro`` invocation and every service client,
 although only the time-domain cross-check (``welch_psd``) and the FM
-spectrogram confirmation use it. Those import it when called. Each check
-runs in a fresh interpreter, so modules other tests have imported cannot
-mask a regression.
+spectrogram confirmation use it. Those import it when called. The same
+holds for the subsystems a scan never calls (the survey engine, the
+service, the durable runner, campaign I/O, the fault injectors and the
+standard library's process and thread pools): ``repro`` serves their
+public names through a lazy ``__getattr__``, and each CLI subcommand
+imports its subsystem when it is dispatched. Each check runs in a fresh
+interpreter, so modules other tests have imported cannot mask a
+regression.
 """
 
 from __future__ import annotations
@@ -23,12 +28,33 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 _REPORT = (
     "import atexit, json, sys\n"
     "atexit.register(lambda: sys.stderr.write('\\nLOADED=' + json.dumps("
-    "sorted(m for m in sys.modules if m == 'scipy.signal' "
-    "or m.startswith('scipy.signal.'))) + '\\n'))\n"
+    "sorted(sys.modules)) + '\\n'))\n"
+)
+
+#: Subsystems a scan never calls, so neither ``import repro`` nor a scan loads them.
+SCAN_FREE = (
+    "repro.survey",
+    "repro.service",
+    "repro.runner",
+    "repro.io",
+    "repro.faults",
+    "multiprocessing",
+    "concurrent.futures",
 )
 
 
+def _under(loaded, packages):
+    return sorted(
+        name for name in loaded if any(name == p or name.startswith(p + ".") for p in packages)
+    )
+
+
 def _loaded_after(code):
+    loaded, stdout = _modules_after(code)
+    return _under(loaded, ("scipy.signal",)), stdout
+
+
+def _modules_after(code):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     result = subprocess.run(
@@ -67,3 +93,59 @@ def test_lazy_paths_still_load_it():
         "welch_psd(np.ones(64, dtype=complex), 1e3)"
     )
     assert "scipy.signal" in loaded
+
+
+def _scan_code(argv):
+    return (
+        f"import runpy, sys\nsys.argv = {argv!r}\n"
+        "runpy.run_module('repro', run_name='__main__', alter_sys=True)"
+    )
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_import_loads_no_scan_free_subsystem(module):
+    loaded, _ = _modules_after(f"import {module}")
+    assert _under(loaded, SCAN_FREE) == []
+
+
+def test_scan_loads_no_scan_free_subsystem():
+    argv = ["repro", "scan", "--span-high", "2e5", "--fres", "100"]
+    loaded, stdout = _modules_after(_scan_code(argv))
+    assert "activity LDM/LDL1" in stdout
+    assert _under(loaded, SCAN_FREE) == []
+    assert len(_under(loaded, ("repro",))) <= 55
+
+
+def test_lazy_names_still_resolve():
+    code = (
+        "import repro\n"
+        "missing = [name for name in repro.__all__ if not hasattr(repro, name)]\n"
+        "assert not missing, missing\n"
+        "assert set(repro.__all__) <= set(dir(repro))\n"
+        "namespace = {}\n"
+        "exec('from repro import *', namespace)\n"
+        "assert set(repro.__all__) <= set(namespace)\n"
+        "import repro.faults, repro.runner, repro.survey\n"
+        "assert repro.run_survey is repro.survey.run_survey\n"
+        "assert repro.SurveyReport is repro.survey.SurveyReport\n"
+        "assert repro.DurableCampaign is repro.runner.DurableCampaign\n"
+        "assert repro.FaultPlan is repro.faults.FaultPlan\n"
+        "try:\n"
+        "    repro.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert 'no_such_name' in str(exc)\n"
+        "else:\n"
+        "    raise AssertionError('repro.no_such_name resolved')\n"
+    )
+    loaded, _ = _modules_after(code)
+    assert "repro.survey" in loaded
+
+
+def test_survey_subcommand_still_runs():
+    argv = [
+        "repro", "survey", "--machines", "corei7_desktop", "--span-high", "2e5",
+        "--fres", "500", "--f-delta", "2.5e3", "--pair", "LDM/LDL1", "--seed", "3",
+    ]
+    loaded, stdout = _modules_after(_scan_code(argv))
+    assert "survey ledger: all shards completed cleanly" in stdout
+    assert "repro.survey.engine" in loaded
