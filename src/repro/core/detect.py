@@ -35,9 +35,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DetectionError
+from ..spectrum.peaks import exact_median
 from ..telemetry import current_telemetry
 from ..units import format_frequency, milliwatts_to_dbm
 from .heuristic import HeuristicScorer
+
+
+def _lower_quartile(windows):
+    """``np.percentile(windows, 25.0, axis=-1)``, byte for byte.
+
+    Replays numpy's default ``linear`` method without its generic
+    machinery (whose ``np.unique`` call imports ``numpy.ma``): the
+    virtual index ``(n - 1) / 4`` between ranks ``below`` and ``above``,
+    one partition at the very kth set ``np.percentile`` sorts by (first
+    and last element plus both ranks, so the arrangement is the same),
+    then numpy's ``_lerp``: ``a + (b - a) * t``, or ``b - (b - a) * (1 -
+    t)`` for ``t >= 0.5``. A window holding a NaN yields NaN, as there.
+    """
+    n = windows.shape[-1]
+    position = (n - 1) * 0.25
+    below = int(position)
+    above = below + 1
+    if position >= n - 1:
+        below = above = -1
+    t = position - below
+    part = np.partition(windows, sorted({0, -1, below, above}), axis=-1)
+    a = part[..., below]
+    b = part[..., above]
+    diff = b - a
+    quartile = b - diff * (1 - t) if t >= 0.5 else a + diff * t
+    return np.where(np.isnan(part[..., -1]), np.nan, quartile)
 
 
 def _window_backgrounds(segments):
@@ -45,12 +72,13 @@ def _window_backgrounds(segments):
 
     A low quantile, because a window may hold broad structure (e.g. a
     spread-spectrum pedestal) that would inflate a median. Equal-length
-    windows (all but those at the grid edges) share one ``np.percentile``
-    call, which gives the same values as one call per window.
+    windows (all but those at the grid edges) share one
+    :func:`_lower_quartile` call, which gives the same values as one call
+    per window.
     """
     if len({len(segment) for segment in segments}) == 1:
-        return np.percentile(np.stack(segments), 25.0, axis=1)
-    return [np.percentile(segment, 25.0) for segment in segments]
+        return _lower_quartile(np.stack(segments))
+    return [_lower_quartile(segment) for segment in segments]
 
 
 @dataclass(frozen=True)
@@ -127,10 +155,12 @@ class CarrierDetector:
     def detect(self, result):
         """All carriers modulated by the campaign's activity pair.
 
-        One :class:`ShiftedPowerCache` is built per run and shared between
-        the Eq. 1/2 scoring pass and the movement-verification /
-        characterization reads, so no spectrum is stacked or interpolated
-        twice (reference-mode scorers skip the cache by design).
+        One :class:`ShiftedPowerCache` is built per run over the traces'
+        own rows (reference-mode scorers skip it by design); one
+        :meth:`HeuristicScorer.fold` pass then yields the combined z-score,
+        the evidence and each harmonic's robust scale, and a candidate's
+        per-harmonic z windows are recomputed from those scales.
+        Movement verification and characterization read the traces.
 
         A degraded result (screen-flagged captures) is detected on its
         leave-one-out view: flagged captures contribute neither scores
@@ -152,13 +182,11 @@ class CarrierDetector:
             else:
                 scores = self.scorer.all_scores(result)
             with telemetry.span("zscore", stage="zscore", label=result.activity_label):
-                zscores = self.scorer.harmonic_zscores(result, scores=scores)
-            combined = self.scorer.combined_zscore(result, zscores=zscores)
-            smoothed = self._smooth(combined)
+                fold = self.scorer.fold(scores)
             # Thresholding/clustering run on the z-score, but the reported
             # combined_score is the scorer's log10 evidence — the unit
             # describe() claims ("decades").
-            evidence = self.scorer.combined_score(result, scores=scores)
+            smoothed = self._smooth(fold.combined_z)
             grid = result.grid
             min_separation_bins = max(int(round(self.min_separation_hz / grid.resolution)), 2)
             detections = []
@@ -166,9 +194,7 @@ class CarrierDetector:
                 for index in self._cluster_candidates(
                     smoothed, start, stop, min_separation_bins
                 ):
-                    detection = self._build_detection(
-                        result, scores, zscores, evidence, index, cache=cache
-                    )
+                    detection = self._build_detection(result, scores, fold, index)
                     if detection is None:
                         continue
                     if any(
@@ -237,19 +263,20 @@ class CarrierDetector:
                 candidates.append(index)
         return candidates
 
-    def _build_detection(self, result, scores, zscores, evidence, index, cache=None):
+    def _build_detection(self, result, scores, fold, index):
         grid = result.grid
         candidate_frequency = grid.frequency_at(index)
         harmonic_scores = {}
         intercepts = []
-        for h, z in zscores.items():
-            peak_z = float(self._window(z, index).max())
+        for h, scale in fold.scales.items():
+            score_window = self._window(scores[h], index)
+            peak_z = float(self.scorer.zscore_window(score_window, scale).max())
             if peak_z < self.min_harmonic_z:
                 continue
-            verdict = self._verify_movement(result, candidate_frequency, h, cache=cache)
+            verdict = self._verify_movement(result, candidate_frequency, h)
             if verdict is None:
                 continue
-            harmonic_scores[h] = float(self._window(scores[h], index).max())
+            harmonic_scores[h] = float(score_window.max())
             intercepts.append(verdict)
         if len(harmonic_scores) < self.min_harmonics:
             return None
@@ -262,14 +289,14 @@ class CarrierDetector:
         # least two corroborating harmonics.
         if len(harmonic_scores) == 1 and abs(next(iter(harmonic_scores))) >= 2:
             return None
-        frequency = float(np.median(intercepts))
+        frequency = float(exact_median(intercepts))
         if not grid.contains(frequency):
             frequency = candidate_frequency
         refined_index = grid.index_of(frequency)
-        magnitude_dbm, modulation_depth = self._characterize(result, refined_index, cache=cache)
+        magnitude_dbm, modulation_depth = self._characterize(result, refined_index)
         return CarrierDetection(
             frequency=frequency,
-            combined_score=float(evidence[index]),
+            combined_score=float(fold.evidence[index]),
             harmonic_scores=harmonic_scores,
             magnitude_dbm=magnitude_dbm,
             modulation_depth=modulation_depth,
@@ -277,7 +304,7 @@ class CarrierDetector:
         )
 
     def _verify_movement(
-        self, result, frequency, harmonic, prominence_ratio=4.0, min_prominent=None, cache=None
+        self, result, frequency, harmonic, prominence_ratio=4.0, min_prominent=None
     ):
         """Check that the scored side-band really moves with slope ``h``.
 
@@ -316,21 +343,15 @@ class CarrierDetector:
             )
             window_hz = max(20.0 * grid.resolution, f_delta)
         window_bins = max(int(round(window_hz / grid.resolution)), 2)
-        # The shared cache's stacked power matrix serves the window reads;
-        # without one (reference-mode scorer) fall back to the traces.
-        power_rows = cache.power if cache is not None else None
         windows = []
-        for row, measurement in enumerate(result.measurements):
+        for measurement in result.measurements:
             target = frequency + harmonic * measurement.falt
             if not grid.contains(target):
                 continue
             center = grid.index_of(target)
             lo = max(center - window_bins, 0)
             hi = min(center + window_bins + 1, grid.n_bins)
-            if power_rows is not None:
-                segment = power_rows[row, lo:hi]
-            else:
-                segment = measurement.trace.power_mw[lo:hi]
+            segment = measurement.trace.power_mw[lo:hi]
             windows.append((lo, segment, measurement.falt))
         backgrounds = _window_backgrounds([segment for _, segment, _ in windows])
         positions = []
@@ -376,7 +397,7 @@ class CarrierDetector:
         hi = min(index + self.peak_window_bins + 1, len(array))
         return array[lo:hi]
 
-    def _characterize(self, result, index, cache=None):
+    def _characterize(self, result, index):
         """Carrier magnitude and modulation depth from the first spectrum.
 
         The carrier power is the strongest bin near the detected frequency;
@@ -387,7 +408,7 @@ class CarrierDetector:
         """
         measurement = result.measurements[0]
         grid = measurement.trace.grid
-        power = cache.power[0] if cache is not None else measurement.trace.power_mw
+        power = measurement.trace.power_mw
         carrier_window = self._window(power, index)
         carrier_power = float(carrier_window.max())
         magnitude_dbm = float(milliwatts_to_dbm(carrier_power))
@@ -400,6 +421,6 @@ class CarrierDetector:
             sideband_powers.append(float(sb_window.max()))
         if not sideband_powers or carrier_power <= 0:
             return magnitude_dbm, 0.0
-        sideband_power = float(np.median(sideband_powers))
+        sideband_power = float(exact_median(sideband_powers))
         depth = (np.pi / 2.0) * np.sqrt(sideband_power / carrier_power)
         return magnitude_dbm, float(np.clip(depth, 0.0, 1.0))

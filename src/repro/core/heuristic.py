@@ -33,10 +33,12 @@ benchmarks.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..errors import DetectionError
-from ..spectrum.peaks import robust_scale
+from ..spectrum.peaks import robust_scale, robust_scale_into
 from ..telemetry import current_telemetry
 from .campaign import CampaignResult
 from .scoring import ShiftedPowerCache, shift_valid_mask
@@ -45,6 +47,28 @@ from .scoring import ShiftedPowerCache, shift_valid_mask
 #: thermal noise per bin of any realistic capture (-148 dBm ≈ 1.6e-15 mW)
 #: so it only guards truly empty synthetic traces.
 DEFAULT_POWER_FLOOR = 1e-22
+
+
+class ScoreFold(NamedTuple):
+    """What one pass over a campaign's ``F_h`` keeps (:meth:`HeuristicScorer.fold`).
+
+    ``scales`` maps each harmonic to the ``(median, sigma)`` of its
+    ``log10 F_h``, from which :meth:`HeuristicScorer.zscore_window`
+    recomputes any z window; ``combined_z`` and ``evidence`` are
+    :meth:`~HeuristicScorer.combined_zscore` and
+    :meth:`~HeuristicScorer.combined_score` over the whole grid.
+    """
+
+    scales: dict
+    combined_z: np.ndarray
+    evidence: np.ndarray
+
+
+def _add_positive_square(combined, z, work):
+    """``combined += max(z, 0) ** 2`` through the scratch vector ``work``."""
+    np.maximum(z, 0.0, out=work)
+    work **= 2
+    combined += work
 
 
 class HeuristicScorer:
@@ -113,16 +137,18 @@ class HeuristicScorer:
         sub[valid_hi:] = 1.0
         return sub
 
-    def _streamed_score(self, cache, falts, harmonic):
+    def _streamed_score(self, cache, falts, harmonic, sub, denom):
         """F_h (Eq. 1) with each sub-score folded into one accumulator.
 
         Multiplies (or, on the log path, adds the logs of) the rows in
         falt order — the same sequential reduction ``np.prod(stack,
         axis=0)`` and ``np.sum(np.log(stack), axis=0)`` perform over a
         non-contiguous axis, so the bytes match :meth:`_accumulate`.
+        ``sub`` and ``denom`` are grid-length scratch buffers, shared by
+        every harmonic of one pass; only the accumulator is new.
         """
         log_path = self._log_path(len(falts))
-        acc, sub, denom = (np.empty(cache.n_bins, dtype=float) for _ in range(3))
+        acc = np.empty(cache.n_bins, dtype=float)
         for i, falt in enumerate(falts):
             row = self._subscore(cache, i, harmonic * falt, sub if i else acc, denom)
             if log_path:
@@ -188,8 +214,11 @@ class HeuristicScorer:
                 cache = ShiftedPowerCache.from_result(result)
             falts = result.falts
             key = (tuple(map(float, falts)), self.power_floor, self.clip_subscore)
+            sub, denom = np.empty(cache.n_bins), np.empty(cache.n_bins)
             scores = {
-                h: cache.score((h, *key), lambda h=h: self._streamed_score(cache, falts, h))
+                h: cache.score(
+                    (h, *key), lambda h=h: self._streamed_score(cache, falts, h, sub, denom)
+                )
                 for h in harmonics
             }
             if owns_cache:
@@ -245,6 +274,46 @@ class HeuristicScorer:
             return np.exp(np.sum(np.log(subs), axis=0))
         return np.prod(subs, axis=0)
 
+    def fold(self, scores):
+        """Each harmonic's robust scale, the combined z-score and the evidence, in one pass.
+
+        For each ``F_h`` in harmonic order: one ``log10`` into a reused
+        scratch vector, its :func:`~repro.spectrum.peaks.robust_scale`,
+        then ``max(z, 0)**2`` added into the combined-z accumulator and
+        ``max(log10 F_h, 0)`` into the evidence accumulator, both through
+        a second reused scratch vector. The operations and their order
+        are those of :meth:`zscore`, :meth:`combined_zscore` and
+        :meth:`combined_score` written out separately, so the bytes are
+        the same; but the pass holds four grid vectors whatever the
+        number of harmonics, where keeping every z array and a second
+        ``log10`` of every ``F_h`` held two per harmonic.
+        """
+        n_bins = len(next(iter(scores.values())))
+        log, work = np.empty(n_bins), np.empty(n_bins)
+        combined, evidence = np.zeros(n_bins), np.zeros(n_bins)
+        scales = {}
+        for harmonic, score in scores.items():
+            np.log10(score, out=log)
+            median, sigma = robust_scale_into(log, work)
+            scales[harmonic] = (median, sigma)
+            np.maximum(log, 0.0, out=work)
+            evidence += work
+            np.subtract(log, median, out=work)
+            work /= sigma
+            _add_positive_square(combined, work, work)
+        np.sqrt(combined, out=combined)
+        return ScoreFold(scales, combined, evidence)
+
+    @staticmethod
+    def zscore_window(score, scale):
+        """Robust z-score of a slice of one ``F_h``, given its ``(median, sigma)``.
+
+        The same elementwise operations as :meth:`zscore` on the same
+        values, so it equals the matching window of the full z array.
+        """
+        median, sigma = scale
+        return (np.log10(score) - median) / sigma
+
     def combined_score(self, result, scores=None, cache=None):
         """Evidence fused across harmonics: sum of positive log10 scores.
 
@@ -253,15 +322,11 @@ class HeuristicScorer:
         while off-carrier scores (~1, log ~0) contribute nothing. Returned
         in log10 units ("decades of evidence"). For automated detection
         prefer :meth:`combined_zscore`, which normalizes each harmonic by
-        its own noise statistics first.
+        its own noise statistics first. Computed by :meth:`fold`.
         """
         if scores is None:
             scores = self.all_scores(result, cache=cache)
-        grid = result.grid
-        combined = np.zeros(grid.n_bins, dtype=float)
-        for score in scores.values():
-            combined += np.maximum(np.log10(score), 0.0)
-        return combined
+        return self.fold(scores).evidence
 
     @staticmethod
     def zscore(score_array):
@@ -297,14 +362,19 @@ class HeuristicScorer:
         carrier with one clean side-band may only excite h = -1. RSS keeps
         a single z = 9 harmonic decisive while off-carrier bins (z ~ N(0,1)
         per harmonic) stay near sqrt(H/2) ~ 2.2.
+
+        From ``scores`` (or a fresh :meth:`all_scores`) it is computed by
+        :meth:`fold`; precomputed ``zscores`` are folded directly.
         """
         if zscores is None:
-            zscores = self.harmonic_zscores(result, scores=scores, cache=cache)
-        grid = result.grid
-        combined = np.zeros(grid.n_bins, dtype=float)
+            if scores is None:
+                scores = self.all_scores(result, cache=cache)
+            return self.fold(scores).combined_z
+        n_bins = result.grid.n_bins
+        combined, work = np.zeros(n_bins), np.empty(n_bins)
         for z in zscores.values():
-            combined += np.maximum(z, 0.0) ** 2
-        return np.sqrt(combined)
+            _add_positive_square(combined, z, work)
+        return np.sqrt(combined, out=combined)
 
     # ------------------------------------------------------------------
 

@@ -2,22 +2,21 @@
 
 The Eq. 1/2 scorer is the hot path of every campaign: a full-span survey
 evaluates every spectrum at every shifted position ``f + h * falt_i`` —
-H harmonics x N falts sub-scores over grids of up to hundreds of
-thousands of bins. :class:`ShiftedPowerCache` stacks the N traces into
-one ``(N, n_bins)`` power matrix and exploits the uniform grid: ``f +
-shift`` lands at the same fractional bin offset for every bin, so the
-interpolation collapses to two contiguous slices blended by one scalar
-weight instead of a per-trace binary-search ``np.interp``. It writes into
+H harmonics x N falts sub-scores over grids of up to millions of
+bins. :class:`ShiftedPowerCache` reads the N traces' own power rows (it
+copies none of them) and exploits the uniform grid: ``f + shift`` lands
+at the same fractional bin offset for every bin, so the interpolation
+collapses to two contiguous slices blended by one scalar weight instead
+of a per-trace binary-search ``np.interp``. It writes into
 caller-owned buffers, so the scorer streams each sub-score through two
 reused vectors; what it memoizes is what is reused — each harmonic's
 finished ``F_h``.
 
 The cache is shared by :class:`~repro.core.heuristic.HeuristicScorer` and
-:class:`~repro.core.detect.CarrierDetector` (whose movement verification
-reads windows of the stacked power matrix); the naive per-trace
-``np.interp`` path survives as the reference implementation
-(``HeuristicScorer(vectorized=False)``) that tests and benchmarks compare
-against.
+:class:`~repro.core.detect.CarrierDetector` (which flushes its hit and
+miss counters); the naive per-trace ``np.interp`` path survives as the
+reference implementation (``HeuristicScorer(vectorized=False)``) that
+tests and benchmarks compare against.
 """
 
 from __future__ import annotations
@@ -61,9 +60,10 @@ def shift_valid_mask(grid, shift):
 class ShiftedPowerCache:
     """Batched ``SP_i(f + shift)`` evaluation and score memo for one campaign.
 
-    :meth:`interpolate_into` is the scorer's per-``(h, i)`` interpolation;
-    :meth:`score` memoizes each harmonic's ``F_h``; ``hits``/``misses``
-    count its lookups (one per harmonic).
+    ``power`` is the tuple of the traces' own ``power_mw`` rows, in
+    trace order. :meth:`interpolate_into` is the scorer's per-``(h, i)``
+    interpolation; :meth:`score` memoizes each harmonic's ``F_h``;
+    ``hits``/``misses`` count its lookups (one per harmonic).
     """
 
     def __init__(self, traces):
@@ -74,8 +74,7 @@ class ShiftedPowerCache:
         for trace in traces:
             if trace.grid != grid:
                 raise DetectionError("traces must share one grid")
-        power = np.ascontiguousarray(np.vstack([trace.power_mw for trace in traces]))
-        self._setup(grid, power)
+        self._setup(grid, tuple(trace.power_mw for trace in traces))
 
     def _setup(self, grid, power):
         self.grid = grid
@@ -95,10 +94,10 @@ class ShiftedPowerCache:
         """A new cache over a row-subset of this cache's traces.
 
         The degraded pipeline scores leave-one-out views (a flagged falt
-        index excluded, Eq. 2 renormalized over the rest); subsetting
-        reuses the already-stacked power matrix instead of restacking
-        the surviving traces. Memos are *not* carried over: the child's
-        scores and totals cover different traces.
+        index excluded, Eq. 2 renormalized over the rest); the child
+        picks this cache's rows without copying them. Memos are *not*
+        carried over: the child's scores and totals cover different
+        traces.
         """
         indices = [int(i) for i in indices]
         if len(indices) < 2:
@@ -109,16 +108,16 @@ class ShiftedPowerCache:
             if not 0 <= i < self.n_traces:
                 raise DetectionError(f"trace index {i} outside 0..{self.n_traces - 1}")
         clone = object.__new__(type(self))
-        clone._setup(self.grid, np.ascontiguousarray(self.power[indices]))
+        clone._setup(self.grid, tuple(self.power[i] for i in indices))
         return clone
 
     @property
     def n_traces(self):
-        return self.power.shape[0]
+        return len(self.power)
 
     @property
     def n_bins(self):
-        return self.power.shape[1]
+        return self.grid.n_bins
 
     # ------------------------------------------------------------------
 
@@ -134,15 +133,22 @@ class ShiftedPowerCache:
         does not cross the floor between adjacent bins (the floor sits
         ~7 decades below any physical noise floor, so in practice it only
         binds on all-zero synthetic traces, where both orderings agree).
+
+        The total is built row by row in one vector, with ``row`` as the
+        floored row's scratch: adding the rows in trace order is the
+        reduction ``sum(axis=0)`` performs over a stacked matrix, so the
+        bytes are the same without the stack.
         """
         floor = float(floor)
         base = self._floored_sums.get(floor)
         if base is None:
-            floored = np.maximum(self.power, floor) if floor > 0.0 else self.power
-            base = np.ascontiguousarray(floored.sum(axis=0))
+            first, *rest = self.power
+            base = np.maximum(first, floor) if floor > 0.0 else first.copy()
+            for power in rest:
+                base += np.maximum(power, floor, out=row) if floor > 0.0 else power
             self._floored_sums[floor] = base
-        self._shift_matrix(self.power[index : index + 1], shift, out=row[None])
-        self._shift_matrix(base[None], shift, out=total[None])
+        self._shift_row(self.power[index], shift, out=row)
+        self._shift_row(base, shift, out=total)
 
     def score(self, key, compute):
         """Memoized harmonic score ``F_h``: ``compute()`` runs on a miss.
@@ -172,15 +178,15 @@ class ShiftedPowerCache:
 
     # ------------------------------------------------------------------
 
-    def _shift_matrix(self, power, shift, out):
-        """Slice-blend interpolation of ``power`` rows at one shift.
+    def _shift_row(self, power, shift, out):
+        """Slice-blend interpolation of one ``power`` row at one shift.
 
         On a uniform grid ``f_k + shift`` sits at bin position
         ``k + shift/fres`` — a *constant* offset — so the interpolation is
         two contiguous slices blended by one scalar weight (plus constant
         edge clamps), with no per-point search or index gathers at all.
-        ``power`` is any ``(M, n_bins)`` matrix over this cache's grid;
-        ``out`` (same shape) receives the result.
+        ``power`` is any grid-length row over this cache's grid; ``out``
+        (same length) receives the result.
         """
         n_bins = self.n_bins
         offset = shift / self.grid.resolution
@@ -193,18 +199,18 @@ class ShiftedPowerCache:
         lo = min(max(-whole, 0), n_bins)
         hi = min(max(n_bins - 1 - whole, 0), n_bins)
         if lo > 0:
-            out[:, :lo] = power[:, :1]
+            out[:lo] = power[0]
         if hi < n_bins:
-            out[:, hi:] = power[:, -1:]
+            out[hi:] = power[-1]
         if hi > lo:
-            left = power[:, lo + whole : hi + whole]
+            left = power[lo + whole : hi + whole]
             if frac == 0.0:
-                out[:, lo:hi] = left
+                out[lo:hi] = left
             else:
                 # left + frac*(right - left), evaluated in place so the
                 # blend allocates nothing beyond the output itself.
-                right = power[:, lo + whole + 1 : hi + whole + 1]
-                interior = out[:, lo:hi]
+                right = power[lo + whole + 1 : hi + whole + 1]
+                interior = out[lo:hi]
                 np.subtract(right, left, out=interior)
                 interior *= frac
                 interior += left

@@ -41,11 +41,16 @@ def exact_median(values):
     left to ``np.median`` itself.
     """
     values = np.asarray(values)
-    n = values.size
+    return _select_median(values.flatten(), values)
+
+
+def _select_median(part, values):
+    """:func:`exact_median` of ``values``, selected in ``part``: a flat copy it reorders."""
+    n = part.size
     if n == 0:
         return np.median(values)
     half = n // 2
-    part = np.partition(values.ravel(), half)
+    part.partition(half)
     # Elements at and past ``half`` hold the sorted tail, where any NaN
     # sorts, so their max is NaN exactly when the input holds one.
     if np.isnan(part[half:].max()):
@@ -62,8 +67,23 @@ def robust_scale(values):
     A zero MAD (more than half the values tied) falls back to the
     standard deviation, and a constant series to a sigma of 1.
     """
-    median = float(exact_median(values))
-    mad = float(exact_median(np.abs(values - median)))
+    values = np.asarray(values, dtype=float)
+    return robust_scale_into(values, np.empty_like(values))
+
+
+def robust_scale_into(values, work):
+    """:func:`robust_scale` of a float64 series, selecting in ``work``.
+
+    ``work`` is a caller-owned buffer of ``values``' shape whose contents
+    are overwritten: it holds the copy the median is selected from, then
+    the absolute deviations the MAD is selected from. Both are
+    :func:`exact_median`'s bytes, without a fresh copy per selection.
+    """
+    np.copyto(work, values)
+    median = float(_select_median(work.reshape(-1), values))
+    np.subtract(values, median, out=work)
+    np.abs(work, out=work)
+    mad = float(_select_median(work.reshape(-1), work))
     sigma = 1.4826 * mad
     if sigma <= 0:
         sigma = float(np.std(values)) or 1.0

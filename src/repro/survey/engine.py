@@ -483,10 +483,7 @@ def _pool_round(shard_fn, batch, workers, settle, shard_timeout_s, cancel_event)
             settle(spec, _OK, result)
 
     # fork keeps worker startup cheap and lets test-injected shard
-    # functions resolve in the children without re-import; the children
-    # inherit numpy.ma instead of each importing it at its first np.median.
-    import numpy.ma  # noqa: F401
-
+    # functions resolve in the children without re-import.
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
         while cause is None:

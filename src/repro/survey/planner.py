@@ -342,9 +342,9 @@ def prescan_shard(spec, planner):
                     beat_heartbeat(spec.heartbeat_path)
                 result.validate()
                 scorer = HeuristicScorer()
-                scores = scorer.all_scores(result)
-                promise = float(np.max(scorer.combined_zscore(result, scores=scores)))
-                evidence = float(np.max(scorer.combined_score(result, scores=scores)))
+                fold = scorer.fold(scorer.all_scores(result))
+                promise = float(np.max(fold.combined_z))
+                evidence = float(np.max(fold.evidence))
     finally:
         telemetry.close()
     return ShardPromise(

@@ -22,6 +22,11 @@ The Fig. 17 campaign is pinned the same way: the Turion X2 laptop (built
 from ``default_rng(2)``) over the paper's "turion window", 0-1.2 MHz at
 50 Hz, measured with ``default_rng(3)`` under LDM/LDL1.
 
+Fig. 10's mid-band campaign (0-120 MHz at 500 Hz) is pinned end to end
+through ``run_fase``: the report's detections, harmonic sets and
+sources, and each pair's combined z-score and evidence over all 240 000
+bins.
+
 A scoring or detection optimisation that reorders one float operation
 changes a digest here; "allclose" is not the contract.
 """
@@ -36,10 +41,11 @@ import pytest
 
 from repro.core.campaign import MeasurementCampaign
 from repro.core.classify import classify_sources
-from repro.core.config import FaseConfig, campaign_low_band
+from repro.core.config import FaseConfig, campaign_low_band, campaign_mid_band
 from repro.core.detect import CarrierDetector
 from repro.core.harmonics import group_harmonics
 from repro.core.heuristic import HeuristicScorer
+from repro.core.pipeline import run_fase
 from repro.survey import DEFAULT_PAIRS
 from repro.system import corei7_desktop, turionx2_laptop
 from repro.uarch import MicroOp
@@ -227,3 +233,59 @@ def test_fig17_turion_window_digests():
         MicroOp.LDM, MicroOp.LDL1, label="LDM/LDL1"
     )
     assert _score_digests(HeuristicScorer(), result) == TURION_DIGESTS
+
+
+#: Fig. 10's campaign 2 (0-120 MHz at 500 Hz, 240 000 bins) through
+#: ``run_fase`` on the i7 desktop (``default_rng(0)``), measured with
+#: ``default_rng(1)`` under both default pairs. ``report`` is the SHA-256
+#: of every detection's fields, each pair's harmonic sets and the
+#: classified sources as JSON; each pair's combined z-score and evidence
+#: are pinned over the whole grid.
+MIDBAND_DIGESTS = {
+    "report": "b04d8fc7f9a867b65c80913140f76b38e16182e60fd7a5392d381ff95b43a5ab",
+    "LDM/LDL1 combined_z": "4e63a86cd7054954e0f0dca53de927f318872baab707cd816e2d0582b0f178f2",
+    "LDM/LDL1 evidence": "009c549f18c3371c2ca1061a65fd8c394ced03e5968b2fa73df36683ed18f002",
+    "LDL2/LDL1 combined_z": "3ca1b91d8f91795ca88a9250d323e4ca2cd17aa682dd9f544ec9f87d3267ee2e",
+    "LDL2/LDL1 evidence": "decf9aa7265b7c82e451e587b322b7c9f25b1792ecd87cb3597d5677bd06f218",
+}
+
+
+def _detection_row(detection):
+    return [
+        detection.frequency,
+        detection.combined_score,
+        sorted(detection.harmonic_scores.items()),
+        detection.magnitude_dbm,
+        detection.modulation_depth,
+        detection.activity_label,
+    ]
+
+
+def midband_digests():
+    """The mid-band ``run_fase`` digests, keyed as in :data:`MIDBAND_DIGESTS`."""
+    results = {}
+    report = run_fase(
+        corei7_desktop(rng=np.random.default_rng(0)),
+        config=campaign_mid_band(),
+        rng=np.random.default_rng(1),
+        campaign_hook=results.__setitem__,
+    )
+    rows = {
+        label: [
+            [_detection_row(d) for d in activity.detections],
+            [_set_rows(s) for s in activity.harmonic_sets],
+        ]
+        for label, activity in report.activities.items()
+    }
+    rows["sources"] = [source.describe() for source in report.sources]
+    digests = {"report": _json_digest(rows)}
+    scorer = HeuristicScorer()
+    for label, result in results.items():
+        scores = scorer.all_scores(result)
+        digests[f"{label} combined_z"] = _digest(scorer.combined_zscore(result, scores=scores))
+        digests[f"{label} evidence"] = _digest(scorer.combined_score(result, scores=scores))
+    return digests
+
+
+def test_midband_run_fase_digests():
+    assert midband_digests() == MIDBAND_DIGESTS

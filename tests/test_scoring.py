@@ -1,6 +1,7 @@
 """The vectorized scoring engine: cache semantics, reference agreement."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.campaign import CampaignMeasurement, CampaignResult, MeasurementCampaign
 from repro.core.config import FaseConfig
-from repro.core.detect import CarrierDetector, _window_backgrounds
+from repro.core.config import campaign_low_band
+from repro.core.detect import CarrierDetector, _lower_quartile, _window_backgrounds
 from repro.core.heuristic import HeuristicScorer
+from repro.core.pipeline import run_fase
 from repro.core.scoring import ShiftedPowerCache, shift_valid_mask, shift_valid_range
 from repro.errors import DetectionError
 from repro.spectrum.grid import FrequencyGrid
@@ -237,3 +240,186 @@ class TestStreamingMemory:
             tracemalloc.stop()
         assert len(scores) == len(result.config.harmonics)
         assert peak < 24 * grid.n_bins * 8, f"peak {peak / 1e6:.1f} MB"
+
+    def test_detect_peak_below_20_grid_vectors(self):
+        """Detecting on the same campaign holds the ten F_h, the fold's four
+        vectors and the smoothed z: under 20 grid vectors, where a stacked
+        copy of the traces, every z array and a second log10 of every F_h
+        peaked at about 31."""
+        grid = FrequencyGrid(0.0, 4e6, 50.0)
+        result = _campaign_from_traces(random_traces(grid=grid), FALTS)
+        detector = CarrierDetector()
+        tracemalloc.start()
+        try:
+            detector.detect(result)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * grid.n_bins * 8, f"peak {peak / 1e6:.1f} MB"
+
+    def test_run_fase_peak_below_26_grid_vectors(self):
+        """A whole Fig. 11 pair through ``run_fase`` (capture, scoring,
+        detection, grouping) stays under 26 grid vectors; detection's
+        arrays used to put it at about 38."""
+        machine = corei7_desktop(rng=np.random.default_rng(0))
+        config = campaign_low_band()
+        tracemalloc.start()
+        try:
+            report = run_fase(
+                machine,
+                pairs=((MicroOp.LDM, MicroOp.LDL1),),
+                config=config,
+                rng=np.random.default_rng(1),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.detections_for("LDM/LDL1")
+        assert peak < 26 * config.n_points() * 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def _gamma_rows(rng, n, n_bins):
+    rows = []
+    for _ in range(n):
+        power = rng.gamma(4.0, 0.25, n_bins) * 1e-14
+        power[rng.random(n_bins) < 0.05] = 0.0  # empty bins that bind the floor
+        power[rng.random(n_bins) < 0.01] *= 1e8
+        rows.append(power)
+    return rows
+
+
+def _pre_fold_formulas(scores):
+    """Combined z and evidence as written before the fused pass."""
+    zscores = {}
+    for harmonic, score in scores.items():
+        log_score = np.log10(score)
+        median = float(np.median(log_score))
+        mad = float(np.median(np.abs(log_score - median)))
+        sigma = 1.4826 * mad
+        if sigma <= 0:
+            sigma = float(np.std(log_score)) or 1.0
+        zscores[harmonic] = (log_score - median) / sigma
+    n_bins = len(next(iter(scores.values())))
+    combined = np.zeros(n_bins, dtype=float)
+    for z in zscores.values():
+        combined += np.maximum(z, 0.0) ** 2
+    evidence = np.zeros(n_bins, dtype=float)
+    for score in scores.values():
+        evidence += np.maximum(np.log10(score), 0.0)
+    return zscores, np.sqrt(combined), evidence
+
+
+def _random_scores(rng, n_harmonics, n_bins, tied_share):
+    scores = {}
+    for k in range(n_harmonics):
+        score = 10.0 ** rng.normal(0.0, 0.3, n_bins)
+        # Off-carrier bins that score exactly 1 (log 0): past half of
+        # them the MAD is 0 and the np.std fallback takes over.
+        score[rng.random(n_bins) < tied_share] = 1.0
+        score[rng.random(n_bins) < 0.001] = 1e9  # carriers at the clip
+        scores[(k // 2 + 1) * (-1) ** k] = score
+    return scores
+
+
+class TestRowExactness:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=2, max_value=40),
+        floor=st.sampled_from([1e-22, 1e-15, 3e-15]),
+        subset_seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_by_row_totals_equal_stacked_sum(self, seed, n, floor, subset_seed):
+        """Property: the cache's floored total, added up row by row from
+        the traces' own rows, equals ``np.maximum(np.vstack(rows),
+        floor).sum(axis=0)`` byte for byte, for N = 2..40 and for a
+        ``subset()`` view, which picks rows without copying them."""
+        rng = np.random.default_rng(seed)
+        grid = FrequencyGrid(0.0, 3e5, 100.0)
+        rows = _gamma_rows(rng, n, grid.n_bins)
+        cache = ShiftedPowerCache([SpectrumTrace(grid, row) for row in rows])
+        picked = np.random.default_rng(subset_seed).permutation(n)
+        picked = sorted(picked[: max(2, int(picked[0]) + 1)].tolist())
+        view = cache.subset(picked)
+        assert all(view.power[k] is rows[i] for k, i in enumerate(picked))
+        for owner, members in ((cache, rows), (view, [rows[i] for i in picked])):
+            row, total = np.empty(grid.n_bins), np.empty(grid.n_bins)
+            # A zero shift reads the total back unchanged.
+            owner.interpolate_into(0, 0.0, floor, row, total)
+            expected = np.maximum(np.vstack(members), floor).sum(axis=0)
+            assert total.tobytes() == expected.tobytes()
+            assert row.tobytes() == members[0].tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_harmonics=st.integers(min_value=1, max_value=10),
+        n_bins=st.integers(min_value=1, max_value=5000),
+        tied_share=st.sampled_from([0.0, 0.3, 0.6]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_fold_equals_pre_fold_formulas(self, seed, n_harmonics, n_bins, tied_share):
+        """Property: the fused pass's combined z and evidence, and the
+        precomputed-z route of ``combined_zscore``, equal the separate
+        z / RSS / evidence formulas byte for byte."""
+        rng = np.random.default_rng(seed)
+        scores = _random_scores(rng, n_harmonics, n_bins, tied_share)
+        zscores, combined, evidence = _pre_fold_formulas(scores)
+        scorer = HeuristicScorer()
+        fold = scorer.fold(scores)
+        assert list(fold.scales) == list(scores)
+        assert fold.combined_z.tobytes() == combined.tobytes()
+        assert fold.evidence.tobytes() == evidence.tobytes()
+        result = SimpleNamespace(grid=SimpleNamespace(n_bins=n_bins))
+        from_z = scorer.combined_zscore(result, zscores=zscores)
+        assert from_z.tobytes() == combined.tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_bins=st.integers(min_value=1, max_value=5000),
+        tied_share=st.sampled_from([0.0, 0.3, 0.6]),
+        half_width=st.integers(min_value=0, max_value=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zscore_windows_equal_full_array_windows(
+        self, seed, n_bins, tied_share, half_width
+    ):
+        """Property: every on-demand z window, from the fold's ``(median,
+        sigma)``, equals the same window of the full-array z-score."""
+        rng = np.random.default_rng(seed)
+        scores = _random_scores(rng, 2, n_bins, tied_share)
+        fold = HeuristicScorer().fold(scores)
+        for harmonic, score in scores.items():
+            full = HeuristicScorer.zscore(score)
+            for index in {0, n_bins - 1, int(rng.integers(n_bins))}:
+                lo = max(index - half_width, 0)
+                hi = min(index + half_width + 1, n_bins)
+                window = HeuristicScorer.zscore_window(score[lo:hi], fold.scales[harmonic])
+                assert window.tobytes() == full[lo:hi].tobytes()
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n_windows=st.integers(min_value=1, max_value=20),
+        length=st.integers(min_value=1, max_value=120),
+        special_share=st.sampled_from([0.0, 0.2, 0.6]),
+        nan=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_lower_quartile_bytes_equal_np_percentile(
+        self, seed, n_windows, length, special_share, nan
+    ):
+        """Property: the partition-based quartile returns
+        ``np.percentile(..., 25.0)``'s float64 bytes, per row and for a
+        stack, with signed zeros, infinities and NaN in the windows."""
+        rng = np.random.default_rng(seed)
+        windows = np.round(rng.gamma(2.0, 1.0, (n_windows, length)), 1)
+        specials = rng.random(windows.shape) < special_share
+        windows[specials] = rng.choice([0.0, -0.0, np.inf], specials.sum())
+        if nan:
+            windows[rng.integers(n_windows), rng.integers(length)] = np.nan
+        with np.errstate(invalid="ignore"):
+            stacked = _lower_quartile(windows)
+            assert stacked.tobytes() == np.percentile(windows, 25.0, axis=1).tobytes()
+            for row, value in zip(windows, stacked):
+                single = _lower_quartile(row)
+                assert single.tobytes() == np.percentile(row, 25.0).tobytes()
+                assert single.tobytes() == value.tobytes()

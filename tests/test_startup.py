@@ -8,9 +8,11 @@ holds for the subsystems a scan never calls (the survey engine, the
 service, the durable runner, campaign I/O, the fault injectors and the
 standard library's process and thread pools): ``repro`` serves their
 public names through a lazy ``__getattr__``, and each CLI subcommand
-imports its subsystem when it is dispatched. Each check runs in a fresh
-interpreter, so modules other tests have imported cannot mask a
-regression.
+imports its subsystem when it is dispatched. ``numpy.ma`` (8-10 ms of
+exec) is out too: ``np.median``, ``np.percentile`` and ``np.unique``
+import it on first call, so detection selects its medians and window
+quartiles with ``np.partition``. Each check runs in a fresh interpreter,
+so modules other tests have imported cannot mask a regression.
 """
 
 from __future__ import annotations
@@ -114,6 +116,13 @@ def test_scan_loads_no_scan_free_subsystem():
     assert "activity LDM/LDL1" in stdout
     assert _under(loaded, SCAN_FREE) == []
     assert len(_under(loaded, ("repro",))) <= 55
+
+
+def test_scan_does_not_load_numpy_ma():
+    argv = ["repro", "scan", "--span-high", "5e5", "--fres", "100"]
+    loaded, stdout = _modules_after(_scan_code(argv))
+    assert "carrier at" in stdout  # detection, grouping and characterization ran
+    assert _under(loaded, ("numpy.ma",)) == []
 
 
 def test_lazy_names_still_resolve():
